@@ -165,7 +165,7 @@ let bench_shard_mailbox ~iters () =
             Shard_exec.post t ~src:0 ~dst:1 i
           done;
           Shard_exec.run_phase t ~lookahead:0.025 ~cap:1.0
-            ~deliver:(fun _ msgs -> delivered := !delivered + Array.length msgs)
+            ~deliver:(fun _ _ -> incr delivered)
             ()
         done)
   in

@@ -1,14 +1,11 @@
-(* Single-trial shard speedup: the tentpole measurement for the sharded
-   executor.  One power-law (Barabasi-Albert) trial is run three ways —
-   the historic sequential engine, the sharded engine at shards=1, and
-   the sharded engine at shards=K — and the walls are archived as a
+(* Single-trial shard speedup.  One power-law (Barabasi-Albert) trial is
+   run at shards=1 and at shards=K, and the walls are archived as a
    bgp-bench/1 report (micro entries), with the host's recommended
    domain count recorded in the report's "jobs" field.
 
    Honesty note: on a single-core host the shards=K point measures
    barrier overhead, not speedup; CI gates its speedup floor on the
-   recorded core count.  The shards=1-vs-sequential point (the overhead
-   criterion) and the shards=1-vs-shards=K bit-identity check are
+   recorded core count.  The shards=1-vs-shards=K bit-identity check is
    meaningful on any host.
 
    Run with:  dune exec bench/shard_bench.exe -- [--n N] [--shards K]
@@ -65,7 +62,6 @@ let () =
     Report.add_micro report (Report.micro ~name:("shard.trial/" ^ label) ~iters:1 ~wall);
     (r, wall)
   in
-  let r_seq, w_seq = point "sequential" None in
   let r_k1, w_k1 = point "shards=1" (Some 1) in
   let r_kn, w_kn = point (Printf.sprintf "shards=%d" !shards) (Some !shards) in
   (* Bit-identity across shard counts is the engine's contract; a mismatch
@@ -78,10 +74,6 @@ let () =
   let p, w_part = time (fun () -> Partition.compute ~shards:!shards ~seed:!seed topo) in
   Report.add_micro report (Report.micro ~name:"partition.compute" ~iters:1 ~wall:w_part);
   Fmt.pr "  partition: %a (%.3f s)@." Partition.pp_stats p w_part;
-  Fmt.pr "  shards=1 vs sequential: %+.1f%% wall (same results: %b)@."
-    (100. *. ((w_k1 /. w_seq) -. 1.))
-    (r_seq.Runner.convergence_delay = r_k1.Runner.convergence_delay
-    && r_seq.Runner.messages = r_k1.Runner.messages);
   Fmt.pr "  shards=%d vs shards=1: %.2fx speedup on %d core(s)@." !shards (w_k1 /. w_kn)
     cores;
   match !json with

@@ -66,22 +66,56 @@ type opts = {
   dest_sample : int option;
 }
 
-(* --shards 0 = auto: split the recommended domain budget with the trial
-   pool, so jobs x shards stays near the core count.  Resolve before
-   building the scenario (Runner rejects a non-positive shard count). *)
+(* The OCaml 5 runtime's cap on simultaneously live domains. *)
+let max_domains = 128
+
+(* --shards 0 = auto: split the recommended domain budget (at most the
+   runtime's cap) with the trial pool, so jobs x shards stays near the
+   core count.  Resolve before building the scenario (Runner rejects a
+   non-positive shard count). *)
 let resolve_shards ~jobs ~quiet = function
-  | None -> None
   | Some 0 ->
     let recommended = Domain.recommended_domain_count () in
-    let k = max 1 (recommended / max 1 jobs) in
+    let k = max 1 (min recommended max_domains / max 1 jobs) in
     if not quiet then
       Fmt.pr "shards: auto-selected %d (%d recommended domains / %d jobs)@." k
         recommended jobs;
     Some k
-  | Some k when k < 0 ->
-    Fmt.epr "error: --shards must be >= 0 (0 = auto), got %d@." k;
+  | shards -> shards
+
+(* Engine-facing arguments the library would reject with an exception,
+   checked before any scenario is built so that a bad value costs one
+   [error:] line and exit 1.  [jobs] is the resolved trial-pool width;
+   [Pool.map] runs [min jobs trials] trials at once (one when either is
+   1), and each of them runs its own [shards] domains. *)
+let check_opts ~trials ~jobs o =
+  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  if trials < 1 then fail "--trials must be >= 1, got %d" trials
+  else if o.nodes < 2 then fail "--nodes must be >= 2, got %d" o.nodes
+  else if not (o.failure >= 0.0 && o.failure <= 1.0) then
+    fail "--failure must be a fraction in [0, 1], got %g" o.failure
+  else if o.analytic && o.policies then
+    fail "--analytic-warmup is policy-free only; drop --policies or --analytic-warmup"
+  else
+    let parallel = min (max 1 jobs) trials in
+    match o.shards with
+    | Some k when k < 0 -> fail "--shards must be >= 0 (0 = auto), got %d" k
+    | shards ->
+      let k = Option.value shards ~default:1 in
+      if k * parallel <= max_domains then Ok ()
+      else
+        fail "%d shard(s) x %d trial(s) at once needs %d domains; the runtime allows %d" k
+          parallel (k * parallel) max_domains
+
+(* Resolve [--shards 0] against [jobs], then validate; exits 1 with a
+   one-line message on a bad argument. *)
+let checked_opts ~trials ~jobs ~quiet o =
+  let o = { o with shards = resolve_shards ~jobs ~quiet o.shards } in
+  match check_opts ~trials ~jobs o with
+  | Ok () -> o
+  | Error m ->
+    Fmt.epr "error: %s@." m;
     exit 1
-  | Some k -> Some k
 
 (* Build the scenario (minus trace/telemetry, which differ per command). *)
 let build_scenario o =
@@ -206,7 +240,17 @@ let run_main opts trials jobs trace_n trace_file probe_interval telemetry_dir pr
       j
     end
   in
-  let opts = { opts with shards = resolve_shards ~jobs ~quiet opts.shards } in
+  let opts = checked_opts ~trials ~jobs ~quiet opts in
+  (* The per-trial files land beside PATH: create its directory (one
+     level, as for a campaign directory) instead of failing on the first
+     trial's open. *)
+  (match trace_file with
+  | Some path when not (Sys.file_exists (Filename.dirname path)) -> (
+    try Sys.mkdir (Filename.dirname path) 0o755
+    with Sys_error m ->
+      Fmt.epr "error: --trace-file: %s@." m;
+      exit 1)
+  | Some _ | None -> ());
   with_prof ~prof ~prof_flame ~quiet @@ fun () ->
   match build_scenario opts with
   | Error m ->
@@ -394,7 +438,7 @@ let analyze_main opts capacity spill json_path top max_hops per_dest flame_path 
   | Some dir -> merge_main dir json_path flame_path top jobs reparse quiet
   | None -> (
     (* One trial: the shard budget gets the whole machine. *)
-    let opts = { opts with shards = resolve_shards ~jobs:1 ~quiet opts.shards } in
+    let opts = checked_opts ~trials:1 ~jobs:1 ~quiet opts in
     match build_scenario opts with
     | Error m ->
       Fmt.epr "error: %s@." m;
@@ -461,7 +505,7 @@ let chaos_main opts trials jobs max_events horizon replay_every capacity out
   end;
   let opts =
     let effective = if jobs = 0 then Bgp_engine.Pool.default_jobs () else jobs in
-    { opts with shards = resolve_shards ~jobs:effective ~quiet opts.shards }
+    checked_opts ~trials ~jobs:effective ~quiet opts
   in
   with_prof ~prof ~prof_flame ~quiet @@ fun () ->
   match build_scenario opts with
@@ -537,10 +581,10 @@ let churn_main opts trials jobs workload_name churn_prefixes rate duration flaps
     exit 1
   end;
   let jobs = if jobs = 0 then Bgp_engine.Pool.default_jobs () else jobs in
-  let opts = { opts with shards = resolve_shards ~jobs ~quiet opts.shards } in
   (* Policy-free churn always warms up analytically: the measured queue
      high-water and throughput then reflect the load phase alone. *)
   let opts = { opts with analytic = opts.analytic || not opts.policies } in
+  let opts = checked_opts ~trials ~jobs ~quiet opts in
   with_prof ~prof ~prof_flame ~quiet @@ fun () ->
   match build_scenario opts with
   | Error m ->
@@ -701,13 +745,13 @@ let validate =
 let shards_arg =
   Arg.(value & opt (some int) None
        & info [ "shards" ] ~docv:"K"
-           ~doc:"Run each trial itself across K domains: the topology is \
-                 deterministically partitioned and the event loop executes in \
-                 conservative barrier-synchronized windows with the link delay as \
-                 lookahead.  Results are bit-identical for every K >= 1.  0 = auto \
-                 (recommended domain count divided by the effective --jobs, so \
-                 jobs x shards stays near the core count).  Omit for the classic \
-                 sequential engine.")
+           ~doc:"Run each trial itself across K domains.  Every trial runs on one \
+                 engine: the topology is deterministically partitioned into shards \
+                 and the event loop executes in conservative barrier-synchronized \
+                 windows with the link delay as lookahead, so results are \
+                 bit-identical for every K >= 1.  0 = auto (recommended domain count \
+                 divided by the effective --jobs, so jobs x shards stays near the \
+                 core count).  Omit for one shard, run on the trial's own domain.")
 
 let dest_sample_arg =
   Arg.(value & opt (some int) None
@@ -790,8 +834,8 @@ let prof_arg =
   Arg.(value & opt (some string) None
        & info [ "prof" ] ~docv:"PATH"
            ~doc:"Profile the run's own wall time and write a bgp-prof/1 JSON report \
-                 to PATH: per-domain compute / barrier-wait / mailbox spans (sharded \
-                 engine), pool busy/queue-wait, runner phase boundaries, scheduler \
+                 to PATH: per-domain compute / barrier-wait / mailbox spans (one set \
+                 per shard), pool busy/queue-wait, runner phase boundaries, scheduler \
                  slab high-water and per-domain GC deltas.  The profiler reads only \
                  the monotonic clock and GC statistics, so every simulation output \
                  is bit-identical with and without it.")

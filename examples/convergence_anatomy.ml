@@ -8,7 +8,6 @@
 
    Run with:  dune exec examples/convergence_anatomy.exe *)
 
-module Sched = Bgp_engine.Scheduler
 module Rng = Bgp_engine.Rng
 module Graph = Bgp_topology.Graph
 module Topology = Bgp_topology.Topology
@@ -28,16 +27,15 @@ let () =
       Network.trace = Some trace;
     }
   in
-  let sched = Sched.create () in
-  let net = Network.build ~sched ~rng:(Rng.create 12) ~config topo in
+  let net = Network.build ~rng:(Rng.create 12) ~config topo in
   Network.start_all net;
-  Sched.run sched;
+  Network.run net ~cap:infinity;
   Trace.clear trace;
-  let t_fail = Sched.now sched in
+  let t_fail = Network.now net in
   let failure = Failure.contiguous topo ~fraction:0.10 in
-  Network.inject_failure net failure;
-  Sched.run sched;
-  let t_end = Sched.now sched in
+  Network.inject_failure net ~at:t_fail failure;
+  Network.run net ~cap:infinity;
+  let t_end = Network.now net in
   Fmt.pr "failure at t=%.1f s: %d routers died; re-converged by t=%.1f s@.@." t_fail
     failure.Failure.count t_end;
   (* Session drops. *)

@@ -35,7 +35,8 @@ type span_kind =
   | Mailbox_drain  (** drain + sort + deliver of a window's mailboxes *)
   | Mailbox_post   (** posting one cross-shard message (accumulated) *)
   | Decide         (** shard 0 computing the next-window decision *)
-  | Merge          (** merge-renumbering per-shard traces *)
+  | Merge          (** moving shard trace events into the run's
+                       trace at a barrier (accumulated) *)
   | Pool_job       (** running one job on a pool domain (accumulated) *)
   | Pool_wait      (** blocked on the pool's job queue (accumulated) *)
   | Build          (** topology generation + network build *)

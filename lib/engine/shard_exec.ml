@@ -8,7 +8,7 @@
    next-event time and runs the caller's [at_barrier] hook, so the hook
    can read cross-shard state without racing.  The mutex-based barrier
    gives the happens-before edges that make the lock-free mailboxes (a
-   plain [list ref] per directed shard pair, written only by the source
+   plain list per directed shard pair, written only by the source
    domain) safe to read on the destination side. *)
 
 module Barrier = struct
@@ -44,36 +44,32 @@ end
 
 type decision = Stop | Window of float
 
+(* One directed mailbox: this window's messages, newest first, and
+   whether they were posted in [compare] order. *)
+type 'msg box = { mutable msgs : 'msg list; mutable sorted : bool }
+
 type 'msg t = {
   k : int;
   scheds : Scheduler.t array;
   (* boxes.(src * k + dst): messages posted by shard [src] for shard
-     [dst] this window, newest first.  Written by src's domain only;
-     read and cleared by dst's domain after B1. *)
-  boxes : 'msg list ref array;
+     [dst] this window.  Written by src's domain only; read and emptied
+     by dst's domain after B1. *)
+  boxes : 'msg box array;
   compare : 'msg -> 'msg -> int;
   barrier : Barrier.t;
   mutable decision : decision;  (* written by shard 0 between B2 and B3 *)
-  mutable windows : int;
-  (* Per-source posted counters, strided to keep each on its own cache
-     line (they are bumped on every send). *)
-  posted : int array;
   excs : exn option array;
 }
-
-let stride = 16
 
 let create ~shards ~compare =
   if shards < 1 then invalid_arg "Shard_exec.create: shards must be >= 1";
   {
     k = shards;
     scheds = Array.init shards (fun _ -> Scheduler.create ());
-    boxes = Array.init (shards * shards) (fun _ -> ref []);
+    boxes = Array.init (shards * shards) (fun _ -> { msgs = []; sorted = true });
     compare;
     barrier = Barrier.create shards;
     decision = Stop;
-    windows = 0;
-    posted = Array.make (shards * stride) 0;
     excs = Array.make shards None;
   }
 
@@ -82,26 +78,43 @@ let sched t i = t.scheds.(i)
 
 let post t ~src ~dst m =
   let t0 = if Profile.on () then Profile.now_ns () else 0L in
-  let box = t.boxes.((src * t.k) + dst) in
-  box := m :: !box;
-  t.posted.(src * stride) <- t.posted.(src * stride) + 1;
+  let b = t.boxes.((src * t.k) + dst) in
+  (* A source posts in its own execution order, which the simulator's
+     key already follows unless a fault stretches some deliveries; one
+     comparison here lets the drain skip the sort. *)
+  (match b.msgs with
+  | last :: _ when b.sorted && t.compare last m > 0 -> b.sorted <- false
+  | _ -> ());
+  b.msgs <- m :: b.msgs;
   if Profile.on () then Profile.accum Mailbox_post t0
 
-let drain_into t dst =
-  (* Gather everything addressed to [dst], restore posting order per
-     source, and sort with the caller's layout-invariant comparator. *)
-  let batch = ref [] in
+let drain_into t dst ~deliver =
+  (* Hand everything addressed to [dst] to [deliver] in the order of the
+     caller's layout-invariant comparator.  It is a total order, so
+     posting order is irrelevant: a single mailbox posted in order is
+     delivered as it stands, anything else is sorted.  Lists, not
+     arrays: a window can hold thousands of messages, and arrays that
+     large are allocated outside the minor heap, which made GC counts
+     differ from one process to the next. *)
+  let filled = ref [] in
   for src = t.k - 1 downto 0 do
-    let box = t.boxes.((src * t.k) + dst) in
-    batch := List.rev_append !box !batch;
-    box := []
+    let b = t.boxes.((src * t.k) + dst) in
+    match b.msgs with [] -> () | _ -> filled := b :: !filled
   done;
-  match !batch with
-  | [] -> [||]
-  | msgs ->
-    let arr = Array.of_list msgs in
-    Array.sort t.compare arr;
-    arr
+  let ordered =
+    match !filled with
+    | [] -> []
+    | [ b ] when b.sorted -> List.rev b.msgs
+    | boxes ->
+      List.stable_sort t.compare
+        (List.fold_left (fun acc b -> List.rev_append b.msgs acc) [] boxes)
+  in
+  List.iter
+    (fun b ->
+      b.msgs <- [];
+      b.sorted <- true)
+    !filled;
+  List.iter (deliver dst) ordered
 
 let run_phase t ~lookahead ~cap ~deliver ?at_barrier () =
   if lookahead <= 0.0 then invalid_arg "Shard_exec.run_phase: lookahead must be positive";
@@ -119,10 +132,7 @@ let run_phase t ~lookahead ~cap ~deliver ?at_barrier () =
       if prof then Profile.record Barrier_wait ~shard:d t0;
       let t0 = if prof then Profile.now_ns () else 0L in
       (if t.excs.(d) = None then
-         try
-           let batch = drain_into t d in
-           if Array.length batch > 0 then deliver d batch
-         with e -> t.excs.(d) <- Some e);
+         try drain_into t d ~deliver with e -> t.excs.(d) <- Some e);
       if prof then Profile.record Mailbox_drain ~shard:d t0;
       let t0 = if prof then Profile.now_ns () else 0L in
       Barrier.wait t.barrier (* B2: mailboxes empty, deliveries queued *);
@@ -146,7 +156,6 @@ let run_phase t ~lookahead ~cap ~deliver ?at_barrier () =
           | Some start when start <= cap ->
             (try
                (match at_barrier with Some f -> f ~now:start | None -> ());
-               t.windows <- t.windows + 1;
                Window (start +. lookahead)
              with e ->
                t.excs.(0) <- Some e;
@@ -181,12 +190,3 @@ let pending t = Array.fold_left (fun acc s -> acc + Scheduler.pending s) 0 t.sch
 
 let events_executed t =
   Array.fold_left (fun acc s -> acc + Scheduler.events_executed s) 0 t.scheds
-
-type stats = { windows : int; posted : int }
-
-let stats t =
-  let posted = ref 0 in
-  for s = 0 to t.k - 1 do
-    posted := !posted + t.posted.(s * stride)
-  done;
-  { windows = t.windows; posted = !posted }

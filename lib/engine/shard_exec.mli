@@ -8,8 +8,8 @@
     the BGP simulator the 25 ms one-way link delay).  Each round the
     executor
 
-    + drains every mailbox, sorting the incoming batch with the caller's
-      shard-count-invariant comparator and handing it to [deliver];
+    + drains every mailbox, handing the incoming messages to [deliver]
+      in the order of the caller's shard-count-invariant comparator;
     + agrees on the next window [[start, start + lookahead)] where
       [start] is the global minimum next-event time — windows {e jump},
       so an idle stretch costs one barrier, not a busy-wait;
@@ -41,23 +41,24 @@ val sched : 'msg t -> int -> Scheduler.t
 val post : 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** Append to the [src -> dst] mailbox.  Lock-free: only shard [src]'s
     domain (or the orchestrator, between phases) may post on that edge.
-    The message is delivered — sorted, via [deliver] — at the next
-    barrier, so its effect time must be at least [lookahead] after the
-    posting shard's current time. *)
+    The message is delivered — in [compare] order, via [deliver] — at the
+    next barrier, so its effect time must be at least [lookahead] after
+    the posting shard's current time.  A mailbox whose posts arrive in
+    [compare] order is delivered without a sort. *)
 
 val run_phase :
   'msg t ->
   lookahead:float ->
   cap:float ->
-  deliver:(int -> 'msg array -> unit) ->
+  deliver:(int -> 'msg -> unit) ->
   ?at_barrier:(now:float -> unit) ->
   unit ->
   unit
 (** Run windows until no shard holds an event at time [<= cap] (pending
     events beyond [cap] remain queued, mirroring
-    [Scheduler.run ~until:cap]).  [deliver dst batch] runs on shard
-    [dst]'s domain between windows with the batch sorted by [compare];
-    it must only touch shard [dst]'s state and scheduler.  [at_barrier]
+    [Scheduler.run ~until:cap]).  [deliver dst m] runs on shard [dst]'s
+    domain between windows, once per message, in [compare] order; it
+    must only touch shard [dst]'s state and scheduler (and never post).  [at_barrier]
     runs single-threaded (all other domains parked at a barrier) once
     per window with the window's start time — the telemetry-probe hook.
     With [shards = 1] the phase runs inline, no domain is spawned.
@@ -73,13 +74,6 @@ val pending : 'msg t -> int
 
 val events_executed : 'msg t -> int
 (** Total events executed over all shards. *)
-
-type stats = {
-  windows : int;  (** barrier rounds across all [run_phase] calls *)
-  posted : int;  (** messages ever posted to mailboxes *)
-}
-
-val stats : 'msg t -> stats
 
 (** The sense-reversing barrier used between windows, exposed for
     microbenchmarks. *)

@@ -177,20 +177,47 @@ let battery cfg ~probe ~schedule =
             (Printf.sprintf "dest %d: components %.9f <> tail %.9f"
                d.Attribution.dest sum d.Attribution.tail))
     attr.Attribution.per_dest;
-  (* 3. Causal hygiene over the whole trace: ids strictly increase along
-     cause pointers, and the only post-failure roots are injections. *)
-  if probe.trace_dropped = 0 then
+  (* 3. Causal hygiene over the whole trace: every cause precedes its
+     effect in the trace's (time, id) order — the order events are
+     recorded in, so the cause must already have been seen — and the
+     only post-failure roots are injections.  Router events carry small
+     per-router strided ids, one bit each; injected roots carry
+     preassigned ids from [Network.first_root_id] up. *)
+  if probe.trace_dropped = 0 then begin
+    let root = Network.first_root_id in
+    let top =
+      List.fold_left
+        (fun acc e ->
+          let id = Trace.id_of e in
+          if id < root then Stdlib.max acc id else acc)
+        0 probe.events
+    in
+    let bits = Bytes.make ((top / 8) + 1) '\000' in
+    let roots = Hashtbl.create 16 in
+    let seen id =
+      if id >= root then Hashtbl.mem roots id
+      else id <= top && Char.code (Bytes.get bits (id / 8)) land (1 lsl (id mod 8)) <> 0
+    in
+    let mark id =
+      if id >= root then Hashtbl.replace roots id ()
+      else
+        Bytes.set bits (id / 8)
+          (Char.chr (Char.code (Bytes.get bits (id / 8)) lor (1 lsl (id mod 8))))
+    in
     List.iter
       (fun e ->
         let id = Trace.id_of e in
         let cause = Trace.cause_of e in
-        if cause >= 0 && cause >= id then
-          add "cause_order" (Printf.sprintf "event #%d caused by later #%d" id cause);
+        if cause >= 0 && not (seen cause) then
+          add "cause_order"
+            (Printf.sprintf "event #%d caused by #%d, which does not precede it" id cause);
+        mark id;
         if Trace.time_of e >= t_fail && cause = Trace.no_cause then
           match e with
           | Trace.Router_failed _ | Trace.Session_down _ | Trace.Fault _ -> ()
           | _ -> add "orphan_root" (Fmt.str "%a" Trace.pp_event e))
-      probe.events;
+      probe.events
+  end;
   (* 4. Conservation: every traced send is delivered or accounted lost.
      Only meaningful once the network drained. *)
   if r.Runner.converged && probe.trace_dropped = 0 then begin

@@ -15,7 +15,8 @@
       exactly (1e-6) to the measured delay, network-wide and per prefix;
     - [attribution_complete] / [orphan_root] / [cause_order] — every
       post-failure causal root is an injection ([Router_failed],
-      [Session_down], [Fault]) and cause ids precede their effects;
+      [Session_down], [Fault]) and every cause precedes its effect in
+      the trace's (time, id) order;
     - [conservation] — traced sends = deliveries + in-flight losses;
     - [queue_drain] / [rib_conservation] — after convergence no survivor
       holds queued work or routes learned from a dead router;

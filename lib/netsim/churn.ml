@@ -232,23 +232,12 @@ let to_json schedule =
 
 (* --- Installation -------------------------------------------------------- *)
 
-let apply net e =
-  let router = Network.router net e.router in
-  let cause = Network.record_fault net ~label:(trace_label e.op) ~router:e.router () in
-  match e.op with
-  | Announce -> Router.announce_origin router ~cause e.dest
-  | Withdraw -> Router.withdraw_origin router ~cause e.dest
+(* Preassigned trace-id block, above [Fault_injector]'s (which starts at
+   [Network.first_root_id]) so a chaotic churn trial can carry both root
+   families. *)
+let churn_id_base = 2 * Network.first_root_id
 
-let install net ~sched ~t0 schedule =
-  List.iter
-    (fun e -> ignore (Sched.schedule_at sched ~time:(t0 +. e.at) (fun () -> apply net e)))
-    schedule
-
-(* Preassigned trace-id block, disjoint from [Fault_injector.fault_id_base]
-   (1 lsl 50) so a chaotic churn trial can carry both root families. *)
-let churn_id_base = 1 lsl 51
-
-let install_sharded net ~t_fail schedule =
+let install net ~t_fail schedule =
   List.iteri
     (fun idx e ->
       let id = churn_id_base + idx in
@@ -256,7 +245,7 @@ let install_sharded net ~t_fail schedule =
       let sched = Network.shard_sched net shard in
       ignore
         (Sched.schedule_at sched ~time:(t_fail +. e.at) (fun () ->
-             Network.record_fault_replica net ~shard ~id ~label:(trace_label e.op)
+             Network.record_fault net ~shard ~id ~label:(trace_label e.op)
                ~router:e.router ~cause:Trace.no_cause;
              let router = Network.router net e.router in
              match e.op with
@@ -279,11 +268,11 @@ let monitor net ~t0 ~window =
   let topo = Network.topology net in
   let config = Network.bgp_config net in
   let universe = Config.num_dests config ~n_ases:topo.Topology.n_ases in
-  let sharded = Network.is_sharded net in
-  let shards = if sharded then Network.shard_count net else 1 in
   (* One slab per shard: each domain writes only its own rows, and the
      end-of-run fold takes the max across shards — layout-free. *)
-  let settle = Array.init shards (fun _ -> Array.make universe neg_infinity) in
+  let settle =
+    Array.init (Network.shard_count net) (fun _ -> Array.make universe neg_infinity)
+  in
   let m =
     {
       t0;
@@ -294,7 +283,7 @@ let monitor net ~t0 ~window =
     }
   in
   for r = 0 to Network.num_routers net - 1 do
-    let slot = if sharded then settle.(Network.owner_of net r) else settle.(0) in
+    let slot = settle.(Network.owner_of net r) in
     Router.set_rib_change_hook (Network.router net r) (fun dest time ->
         if time > slot.(dest) then slot.(dest) <- time)
   done;
@@ -302,18 +291,6 @@ let monitor net ~t0 ~window =
 
 let sample m net ~now =
   m.samples <- (now, (Network.sum_metrics net).Router.msgs_processed) :: m.samples
-
-(* Sequential only: a self-rearming sampler chain on the exact window
-   grid, stopping when the queue drains (the [start_probes] idiom). *)
-let start_sampler m net ~sched =
-  let rec arm k =
-    let time = m.t0 +. (float_of_int k *. m.window) in
-    ignore
-      (Sched.schedule_at sched ~time (fun () ->
-           sample m net ~now:time;
-           if Sched.pending sched > 0 then arm (k + 1)))
-  in
-  arm 1
 
 type stats = {
   ops : int;

@@ -81,22 +81,17 @@ val shrink : schedule -> schedule list
 val to_json : schedule -> string
 (** JSON array, one object per op (embedded in the churn artifact). *)
 
-val install : Network.t -> sched:Bgp_engine.Scheduler.t -> t0:float -> schedule -> unit
-(** Arm every op at [t0 +. at] on the sequential scheduler.  Each op
-    records its [Trace.Fault] root (a no-op when untraced — churn does
-    not require [Network.enable_faults]) and drives the origin router's
-    decision process through {!Bgp_proto.Router.announce_origin} /
-    [withdraw_origin]. *)
-
 val churn_id_base : int
-(** Preassigned trace-id block for sharded runs ([1 lsl 51]), disjoint
-    from {!Fault_injector}'s. *)
+(** Preassigned trace-id block of churn roots ([2 * Network.first_root_id]),
+    disjoint from {!Fault_injector}'s. *)
 
-val install_sharded : Network.t -> t_fail:float -> schedule -> unit
-(** {!install} for a sharded network: each op is scheduled only on the
-    shard owning its router (ops are never replicated, so counts need no
-    normalisation) with preassigned trace ids, keeping the merged trace
-    shard-count invariant. *)
+val install : Network.t -> t_fail:float -> schedule -> unit
+(** Arm every op at [t_fail +. at], only on the shard owning its router
+    (ops are never replicated, so counts need no normalisation).  Each op
+    records its [Trace.Fault] root with a preassigned id (a no-op when
+    untraced — churn does not require [Network.enable_faults]) and
+    drives the origin router's decision process through
+    {!Bgp_proto.Router.announce_origin} / [withdraw_origin]. *)
 
 (** {2 Steady-state monitor} *)
 
@@ -112,12 +107,9 @@ val monitor : Network.t -> t0:float -> window:float -> monitor
     sampling width in seconds. *)
 
 val sample : monitor -> Network.t -> now:float -> unit
-(** Record one cumulative-throughput sample (sharded runs call this from
-    the barrier hook: window starts are shard-count invariant). *)
-
-val start_sampler : monitor -> Network.t -> sched:Bgp_engine.Scheduler.t -> unit
-(** Sequential runs: arm a self-rearming sampler chain on the exact
-    [t0 + k * window] grid that stops once the event queue drains. *)
+(** Record one cumulative-throughput sample; the runner calls this from
+    {!Network.run}'s barrier hook, so samples fall on window starts,
+    which are shard-count invariant. *)
 
 type stats = {
   ops : int;  (** schedule length *)

@@ -306,58 +306,6 @@ let to_json schedule =
 
 (* --- Installation -------------------------------------------------------- *)
 
-let representative = function
-  | Partition { side; _ } -> ( match side with r :: _ -> r | [] -> 0)
-  | Session_reset { u; _ } | Gray_link { u; _ } | Link_jitter { u; _ } -> u
-  | Clock_skew { router; _ } -> router
-
-let record ?cause ~label net fault =
-  Network.record_fault net ~label ~router:(representative fault) ?cause ()
-
-let apply_fault net ~sched e =
-  let fault_id = record ~label:(kind_of_fault e.fault) net e.fault in
-  match e.fault with
-  | Partition { side; heal_after } ->
-    let side_arr = Array.make (Network.num_routers net) false in
-    List.iter (fun r -> side_arr.(r) <- true) side;
-    (* The cut-set is computed at onset and reused at heal time, so we
-       restore exactly the links we severed even if the network changed
-       in between. *)
-    let cut = Network.cross_sessions net ~side:side_arr in
-    List.iter (fun (u, v) -> Network.sever_link ~cause:fault_id net ~u ~v) cut;
-    ignore
-      (Sched.schedule sched ~delay:heal_after (fun () ->
-           let heal_id = record ~label:"partition_heal" ~cause:fault_id net e.fault in
-           List.iter (fun (u, v) -> Network.restore_link ~cause:heal_id net ~u ~v) cut))
-  | Session_reset { u; v; recover_after } ->
-    Network.sever_link ~cause:fault_id net ~u ~v;
-    ignore
-      (Sched.schedule sched ~delay:recover_after (fun () ->
-           let up_id = record ~label:"session_recover" ~cause:fault_id net e.fault in
-           Network.restore_link ~cause:up_id net ~u ~v))
-  | Gray_link { u; v; loss; duration } ->
-    Network.set_link_loss net ~u ~v loss;
-    ignore
-      (Sched.schedule sched ~delay:duration (fun () ->
-           ignore (record ~label:"gray_heal" ~cause:fault_id net e.fault);
-           Network.set_link_loss net ~u ~v 0.0))
-  | Link_jitter { u; v; factor; duration } ->
-    Network.set_link_factor net ~u ~v factor;
-    ignore
-      (Sched.schedule sched ~delay:duration (fun () ->
-           ignore (record ~label:"jitter_end" ~cause:fault_id net e.fault);
-           Network.set_link_factor net ~u ~v 1.0))
-  | Clock_skew { router; skew } -> Network.set_clock_skew net ~router skew
-
-let install net ~sched schedule =
-  if not (Network.faults_enabled net) then
-    invalid_arg "Fault_injector.install: call Network.enable_faults first";
-  List.iter
-    (fun e -> ignore (Sched.schedule sched ~delay:e.at (fun () -> apply_fault net ~sched e)))
-    schedule
-
-(* --- Sharded installation ------------------------------------------------- *)
-
 let lookahead ~link_delay schedule =
   let min_factor =
     List.fold_left
@@ -369,73 +317,67 @@ let lookahead ~link_delay schedule =
   in
   Float.max 1e-6 (link_delay *. Float.min 1.0 min_factor)
 
-(* Preassigned trace ids for replicated fault events, in a range no
-   strided per-router id can reach (see [Network.build_sharded]): every
-   shard knows each onset's id without recording it, so heal events can
-   cause-chain to their onset from any shard. *)
-let fault_id_base = 1 lsl 50
+let representative = function
+  | Partition { side; _ } -> ( match side with r :: _ -> r | [] -> 0)
+  | Session_reset { u; _ } | Gray_link { u; _ } | Link_jitter { u; _ } -> u
+  | Clock_skew { router; _ } -> router
 
-let apply_fault_replica net ~shard e ~onset_id ~heal_id =
+(* Event [e]'s effect on shard [shard]'s replica of the fault tables, and
+   its heal scheduled on the same shard.  Onset and heal carry
+   preassigned trace ids, so a heal can cause-chain to its onset from any
+   shard. *)
+let apply_replica net ~shard e ~onset_id ~heal_id =
   let sched = Network.shard_sched net shard in
-  let rec_replica ~id ~label ~cause =
-    Network.record_fault_replica net ~shard ~id ~label
-      ~router:(representative e.fault) ~cause
+  let record ~id ~label ~cause =
+    Network.record_fault net ~shard ~id ~label ~router:(representative e.fault) ~cause
   in
-  rec_replica ~id:onset_id ~label:(kind_of_fault e.fault) ~cause:Trace.no_cause;
+  let on_heal delay ~label f =
+    ignore
+      (Sched.schedule sched ~delay (fun () ->
+           Network.note_replica net ~shard;
+           record ~id:heal_id ~label ~cause:onset_id;
+           f ()))
+  in
+  record ~id:onset_id ~label:(kind_of_fault e.fault) ~cause:Trace.no_cause;
   match e.fault with
   | Partition { side; heal_after } ->
     let side_arr = Array.make (Network.num_routers net) false in
     List.iter (fun r -> side_arr.(r) <- true) side;
+    (* The cut-set is computed at onset and reused at heal time, so we
+       restore exactly the links we severed even if the network changed
+       in between. *)
     let cut = Network.cross_sessions net ~side:side_arr in
-    List.iter
-      (fun (u, v) -> Network.sever_link_sharded net ~shard ~cause:onset_id ~u ~v)
-      cut;
-    ignore
-      (Sched.schedule sched ~delay:heal_after (fun () ->
-           Network.note_replica net ~shard;
-           rec_replica ~id:heal_id ~label:"partition_heal" ~cause:onset_id;
-           List.iter
-             (fun (u, v) -> Network.restore_link_sharded net ~shard ~cause:heal_id ~u ~v)
-             cut))
+    List.iter (fun (u, v) -> Network.sever_link net ~shard ~cause:onset_id ~u ~v) cut;
+    on_heal heal_after ~label:"partition_heal" (fun () ->
+        List.iter (fun (u, v) -> Network.restore_link net ~shard ~cause:heal_id ~u ~v) cut)
   | Session_reset { u; v; recover_after } ->
-    Network.sever_link_sharded net ~shard ~cause:onset_id ~u ~v;
-    ignore
-      (Sched.schedule sched ~delay:recover_after (fun () ->
-           Network.note_replica net ~shard;
-           rec_replica ~id:heal_id ~label:"session_recover" ~cause:onset_id;
-           Network.restore_link_sharded net ~shard ~cause:heal_id ~u ~v))
+    Network.sever_link net ~shard ~cause:onset_id ~u ~v;
+    on_heal recover_after ~label:"session_recover" (fun () ->
+        Network.restore_link net ~shard ~cause:heal_id ~u ~v)
   | Gray_link { u; v; loss; duration } ->
-    Network.set_link_loss_sharded net ~shard ~u ~v loss;
-    ignore
-      (Sched.schedule sched ~delay:duration (fun () ->
-           Network.note_replica net ~shard;
-           rec_replica ~id:heal_id ~label:"gray_heal" ~cause:onset_id;
-           Network.set_link_loss_sharded net ~shard ~u ~v 0.0))
+    Network.set_link_loss net ~shard ~u ~v loss;
+    on_heal duration ~label:"gray_heal" (fun () ->
+        Network.set_link_loss net ~shard ~u ~v 0.0)
   | Link_jitter { u; v; factor; duration } ->
-    Network.set_link_factor_sharded net ~shard ~u ~v factor;
-    ignore
-      (Sched.schedule sched ~delay:duration (fun () ->
-           Network.note_replica net ~shard;
-           rec_replica ~id:heal_id ~label:"jitter_end" ~cause:onset_id;
-           Network.set_link_factor_sharded net ~shard ~u ~v 1.0))
-  | Clock_skew { router; skew } -> Network.set_clock_skew_sharded net ~shard ~router skew
+    Network.set_link_factor net ~shard ~u ~v factor;
+    on_heal duration ~label:"jitter_end" (fun () ->
+        Network.set_link_factor net ~shard ~u ~v 1.0)
+  | Clock_skew { router; skew } -> Network.set_clock_skew net ~shard ~router skew
 
-let install_sharded net ~t_fail schedule =
+let install net ~t_fail schedule =
   if not (Network.faults_enabled net) then
-    invalid_arg "Fault_injector.install_sharded: call Network.enable_faults first";
-  let k = Network.shard_count net in
+    invalid_arg "Fault_injector.install: call Network.enable_faults first";
   (* Every shard executes every fault event at the same time, mutating
      only its replica tables; [note_replica] lets the executed-events
      count normalize the k-fold duplication away. *)
   List.iteri
     (fun idx e ->
-      let onset_id = fault_id_base + (2 * idx) in
+      let onset_id = Network.first_root_id + (2 * idx) in
       let heal_id = onset_id + 1 in
-      for s = 0 to k - 1 do
+      for s = 0 to Network.shard_count net - 1 do
         ignore
-          (Sched.schedule_at (Network.shard_sched net s) ~time:(t_fail +. e.at)
-             (fun () ->
+          (Sched.schedule_at (Network.shard_sched net s) ~time:(t_fail +. e.at) (fun () ->
                Network.note_replica net ~shard:s;
-               apply_fault_replica net ~shard:s e ~onset_id ~heal_id))
+               apply_replica net ~shard:s e ~onset_id ~heal_id))
       done)
     schedule

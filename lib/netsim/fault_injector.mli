@@ -76,27 +76,21 @@ val shrink : schedule -> schedule list
 val to_json : schedule -> string
 (** JSON array (one object per event), embedded in the chaos artifact. *)
 
-val install : Network.t -> sched:Bgp_engine.Scheduler.t -> schedule -> unit
-(** Arm the schedule at the current simulated time (the runner calls it
-    at [t_fail]): each event fires [at] seconds later, records its
+val lookahead : link_delay:float -> schedule -> float
+(** The engine's hard lookahead under this schedule: the smallest one-way
+    delay any message can experience — [link_delay] scaled by the
+    schedule's smallest jitter factor (clock skew is non-negative and
+    only lengthens delays), clamped to the delivery path's [1e-6] floor.
+    [link_delay] itself for a fault-free run. *)
+
+val install : Network.t -> t_fail:float -> schedule -> unit
+(** Arm the schedule: each event fires at [t_fail +. at], records its
     [Trace.Fault] root and applies the fault through the {!Network}
     hooks; heals/recoveries are scheduled and cause-chained to the
-    onset.  @raise Invalid_argument unless [Network.enable_faults] was
-    called. *)
-
-val lookahead : link_delay:float -> schedule -> float
-(** The sharded executor's hard lookahead under this schedule: the
-    smallest one-way delay any message can experience — [link_delay]
-    scaled by the schedule's smallest jitter factor (clock skew is
-    non-negative and only lengthens delays), clamped to the delivery
-    path's [1e-6] floor.  [link_delay] itself for a fault-free run. *)
-
-val install_sharded : Network.t -> t_fail:float -> schedule -> unit
-(** {!install} for a sharded network: every fault event (and its heal)
-    is replicated into {e every} shard's scheduler with preassigned
-    trace ids, so each shard's replica fault tables evolve identically
-    with no cross-shard reads; the shard owning a fault's representative
-    router records the [Trace.Fault] events, and session notifications
-    fire only on the owners of the affected endpoints.  Onsets are
-    absolute: [t_fail +. at].  @raise Invalid_argument unless
-    [Network.enable_faults] was called. *)
+    onset.  Every event (and its heal) is replicated into {e every}
+    shard's scheduler with preassigned trace ids, so each shard's
+    replica fault tables evolve identically with no cross-shard reads;
+    the shard owning a fault's representative router records the
+    [Trace.Fault] events, and session notifications fire only on the
+    owners of the affected endpoints.
+    @raise Invalid_argument unless [Network.enable_faults] was called. *)

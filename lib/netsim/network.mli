@@ -40,23 +40,40 @@ val config_default : Bgp_proto.Config.t -> config
 type t
 
 val build :
-  sched:Bgp_engine.Scheduler.t ->
+  ?shards:int ->
+  ?owner:int array ->
+  ?lookahead:float ->
   rng:Bgp_engine.Rng.t ->
   config:config ->
   ?telemetry:Telemetry.t ->
   Bgp_topology.Topology.t ->
   t
-(** [telemetry] is the per-run instance the network registers its
-    getter-backed counters into ([net.*], [router.*], [queue.*],
-    [mrai.*], [damping.*], [sched.*], [path.*]); created and threaded by
-    {!Runner.run} when [config.telemetry] is set. *)
+(** A network executed by the conservative windowed engine
+    ({!Bgp_engine.Shard_exec}) across [shards] OCaml 5 domains (default
+    [1]: one shard, run inline, no domain spawned).  [owner.(r)] is router
+    [r]'s shard (from {!Bgp_topology.Partition}; default: every router on
+    shard 0).  Router state, path tables, counters and fault tables are
+    shard-local, and {e every} send goes through the executor's mailboxes
+    — at one shard too — so deliveries are ordered by the layout-free
+    [(arrival time, src router, send seq)] key and results are
+    bit-identical for any shard count.  [lookahead] must be a positive
+    lower bound on every message's delivery delay (default
+    [max 1e-6 link_delay]; under a fault schedule
+    {!Fault_injector.lookahead}).  The RNG is split into a detection
+    stream, then one stream per router in index order, so router streams
+    do not depend on the layout.  [telemetry] is the per-run instance the
+    network registers its getter-backed counters into ([net.*],
+    [router.*], [queue.*], [mrai.*], [damping.*], [sched.*], [path.*]);
+    created and threaded by {!Runner.run} when [config.telemetry] is set.
+    See DESIGN.md §11.
+    @raise Invalid_argument on a bad [shards]/[owner]/[lookahead]. *)
 
 val topology : t -> Bgp_topology.Topology.t
 val bgp_config : t -> Bgp_proto.Config.t
 
 val paths : t -> Bgp_proto.Path.table
-(** The run's AS-path interning table, shared by all routers of this
-    network (and by the analytic warm-up). *)
+(** Shard 0's AS-path interning table — at one shard, the table every
+    router (and the analytic warm-up) interns into. *)
 
 val relationships : t -> Relationships.t option
 val router : t -> int -> Bgp_proto.Router.t
@@ -73,14 +90,47 @@ val sessions_of_topology :
 val start_all : t -> unit
 (** Originate every router's prefix at the current simulated time. *)
 
-val inject_failure : t -> Bgp_topology.Failure.t -> unit
-(** Immediately kill the failed routers and schedule session-down
-    notifications to their surviving session peers after
-    [detection_delay]. *)
+(** {2 Execution} *)
 
-val inject_link_failures : t -> (int * int) list -> unit
+val run : ?at_barrier:(now:float -> unit) -> t -> cap:float -> unit
+(** Run windows until no shard holds an event at time [<= cap]
+    ({!Bgp_engine.Shard_exec.run_phase}); later events stay queued.
+    [at_barrier] runs single-threaded once per window with the window's
+    start time — the only point where cross-shard router state is
+    stable, hence the hook for telemetry probes and churn samples.  When
+    the config carries a trace, each barrier also moves the shards'
+    recorded events into it, and so does the end of the call. *)
+
+val now : t -> float
+(** Time of the last executed event (max shard clock). *)
+
+val pending : t -> int
+(** Live events across shards; [0] once the network has drained. *)
+
+val events : t -> int
+(** Executed events, normalized so replicated fault events count once. *)
+
+val shard_count : t -> int
+val owner_of : t -> int -> int
+val shard_sched : t -> int -> Bgp_engine.Scheduler.t
+
+val paths_for : t -> int -> Bgp_proto.Path.table
+(** Router [r]'s interning table: its shard's. *)
+
+(** {2 Failures}
+
+    Called by the orchestrator between {!run} calls, with every domain
+    parked: [at] is the injection time and must be [>=] {!now}. *)
+
+val inject_failure : t -> at:float -> Bgp_topology.Failure.t -> unit
+(** Kill the failed routers at [at] and schedule session-down
+    notifications to their surviving session peers, each on the peer's
+    own shard, after the detection delay (hold-timer samples are drawn in
+    one global order, independent of the layout). *)
+
+val inject_link_failures : t -> at:float -> (int * int) list -> unit
 (** Fail individual links (sessions): both endpoints observe the session
-    drop after the detection delay; the routers stay up.  The paper
+    drop [detection_delay] after [at]; the routers stay up.  The paper
     argues link-only failures are unlikely at large scale (Section 3.2)
     but they are the classic single-event experiments (Labovitz Tdown). *)
 
@@ -88,53 +138,68 @@ val is_failed : t -> int -> bool
 
 (** {2 Fault-injection hooks}
 
-    The substrate {!Fault_injector} drives: a per-network mutable fault
-    state (severed links, gray-link loss probabilities, per-link delay
-    factors, per-router clock skew) consulted on every message's send and
-    delivery.  Disabled — and entirely cost- and draw-free, so existing
+    The substrate {!Fault_injector} drives: per-shard replicas of the
+    fault tables (severed links, gray-link loss probabilities, per-link
+    delay factors, per-router clock skew) consulted on every message's
+    send and delivery.  Disabled — and cost- and draw-free, so existing
     seeds replay bit-identically — until {!enable_faults} is called.
-    All link-keyed hooks are symmetric in [u]/[v]. *)
+    {!Fault_injector.install} replicates every fault event into every
+    shard's scheduler with preassigned trace ids, so each shard's tables
+    evolve identically without cross-shard reads.  Each hook touches only
+    shard [shard]'s tables; session notifications and trace records fire
+    only on the shard owning the affected router.  All link-keyed hooks
+    are symmetric in [u]/[v]. *)
 
 val enable_faults : t -> rng:Bgp_engine.Rng.t -> unit
-(** Attach the fault layer.  [rng] is the injector-owned stream used for
-    gray-link loss draws — deliberately NOT split from the network's
-    build-time RNG, so enabling faults never shifts the routers'
-    streams.  @raise Invalid_argument if already enabled. *)
+(** Attach the fault layer.  One draw from [rng] — the injector-owned
+    stream, deliberately NOT split from the network's build-time RNG, so
+    enabling faults never shifts the routers' streams — salts the
+    hash-based gray-link loss decisions.
+    @raise Invalid_argument if already enabled. *)
 
 val faults_enabled : t -> bool
 
-val sever_link : ?cause:int -> t -> u:int -> v:int -> unit
+val first_root_id : int
+(** Preassigned trace ids of fault and churn roots start here ([1 lsl
+    50]), above every per-router id. *)
+
+val note_replica : t -> shard:int -> unit
+(** Count one replicated fault event executing on [shard], for the
+    {!events} normalization. *)
+
+val record_fault :
+  t -> shard:int -> id:int -> label:string -> router:int -> cause:int -> unit
+(** Record a [Fault] trace event with the preassigned [id] — only on the
+    shard owning [router] (no-op elsewhere or when untraced).  It is the
+    causal root that session transitions and heals point back to. *)
+
+val sever_link : t -> shard:int -> cause:int -> u:int -> v:int -> unit
 (** Cut the link now: in-flight and future messages between [u] and [v]
     drop immediately; both endpoints observe the session drop after
     [detection_delay] (recorded as causal [Session_down] events, caused
     by [cause]).  Sever counts nest: a link severed by two overlapping
     faults needs two {!restore_link}s to come back. *)
 
-val restore_link : ?cause:int -> t -> u:int -> v:int -> unit
+val restore_link : t -> shard:int -> cause:int -> u:int -> v:int -> unit
 (** Undo one {!sever_link}.  When the last sever lifts, both endpoints
     re-establish after [detection_delay] ([Session_up] trace events,
     {!Bgp_proto.Router.peer_up} full-table re-sync).  No-op if the link
     is not severed. *)
 
-val set_link_factor : t -> u:int -> v:int -> float -> unit
+val set_link_factor : t -> shard:int -> u:int -> v:int -> float -> unit
 (** Multiply the link's one-way delay by [factor] (jitter); [1.0]
     restores the default.  Applies to messages {e sent} from now on.
     @raise Invalid_argument if [factor <= 0]. *)
 
-val set_link_loss : t -> u:int -> v:int -> float -> unit
-(** Gray link: independently drop each message on the link with
-    probability [p] (drawn from the injector RNG at delivery, in
-    deterministic scheduler order); [0.0] restores the default.
+val set_link_loss : t -> shard:int -> u:int -> v:int -> float -> unit
+(** Gray link: drop each message on the link with probability [p]; the
+    draw is a hash of (salt, src, dst, send seq), so it rides with the
+    message; [0.0] restores the default.
     @raise Invalid_argument unless [0 <= p < 1]. *)
 
-val set_clock_skew : t -> router:int -> float -> unit
+val set_clock_skew : t -> shard:int -> router:int -> float -> unit
 (** Receive-path clock offset: every message delivered {e to} [router]
     arrives [skew] seconds later (effective delay clamped positive). *)
-
-val record_fault : t -> label:string -> router:int -> ?cause:int -> unit -> int
-(** Record a [Fault] trace event and return its id ([Trace.no_cause]
-    when untraced) — the causal root that session transitions and heals
-    point back to. *)
 
 val cross_sessions : t -> side:bool array -> (int * int) list
 (** The sessions with exactly one endpoint in [side] — the cut-set a
@@ -172,118 +237,15 @@ val overloaded_routers : t -> threshold:float -> int list
 (** {2 Telemetry probes} *)
 
 val memory_snapshot : t -> Telemetry.memory
-(** Estimated memory footprint, rolled up per shard (pseudo-shard 0 for
-    a sequential build): RIB bytes and entry counts per owner shard,
-    per-table hashcons stats, scheduler-slab high-water/capacity, and
-    trace-ring occupancy.  Fixed word models over entry counts only —
-    deterministic for a given run, identical across [--jobs].  The
-    runner attaches it via [Telemetry.set_memory] at finalize. *)
+(** Estimated memory footprint, rolled up per shard: RIB bytes and entry
+    counts per owner shard, per-table hashcons stats, scheduler-slab
+    high-water/capacity, and the run trace's occupancy.  Fixed word
+    models over entry counts only — deterministic for a given run,
+    identical across [--jobs].  The runner attaches it via
+    [Telemetry.set_memory] at finalize. *)
 
-val probe_tick : ?time:float -> t -> Telemetry.t -> unit
-(** Record one probe tick: a {!Telemetry.row} per surviving router at the
-    current simulated time (or [time] — the sharded runner's window
-    start, since no single scheduler clock exists there).  Read-only —
-    draws no randomness and schedules nothing. *)
-
-val start_probes : t -> Telemetry.t -> unit
-(** Begin the periodic probe chain at the configured interval.  Each
-    probe re-arms only while other events remain pending, so the chain
-    never keeps the scheduler queue alive: the queue still drains at
-    convergence and the runner's converged-iff-drained check is
-    unaffected (the executed-events count does grow). *)
-
-(** {2 Sharded execution}
-
-    A network built with {!build_sharded} partitions its routers across
-    [shards] OCaml 5 domains ({!Bgp_engine.Shard_exec}): router state,
-    sessions, path tables, trace slices, counters and fault tables are
-    all shard-local, and {e every} send goes through the executor's
-    mailboxes so deliveries are ordered by the layout-free
-    [(arrival time, src router, send seq)] key — results are
-    bit-identical for any shard count (but not vs {!build}, whose
-    direct-scheduling machinery is preserved untouched).  Between
-    phases the orchestrator (single-threaded) injects failures and
-    merges traces.  See DESIGN.md §11. *)
-
-val build_sharded :
-  shards:int ->
-  owner:int array ->
-  lookahead:float ->
-  rng:Bgp_engine.Rng.t ->
-  config:config ->
-  ?telemetry:Telemetry.t ->
-  Bgp_topology.Topology.t ->
-  t
-(** [owner.(r)] is router [r]'s shard (from {!Bgp_topology.Partition});
-    [lookahead] must be a positive lower bound on every message's
-    delivery delay — [link_delay] scaled down by the smallest jitter
-    factor the fault schedule can apply ({!Fault_injector.lookahead}).
-    The RNG split order matches {!build} (detection stream, then one per
-    router), so router streams do not depend on the layout.
-    @raise Invalid_argument on a bad [shards]/[owner]/[lookahead]. *)
-
-val is_sharded : t -> bool
-
-val shard_count : t -> int
-(** [1] for a {!build} network. *)
-
-val owner_of : t -> int -> int
-val shard_sched : t -> int -> Bgp_engine.Scheduler.t
-
-val paths_for : t -> int -> Bgp_proto.Path.table
-(** Router [r]'s interning table: its shard's (equals {!paths} when
-    unsharded) — what the analytic warm-up must intern into. *)
-
-val shard_traces : t -> Trace.t list
-(** The per-shard trace slices (empty list when untraced); merge with
-    {!Trace.merge_renumber}. *)
-
-val run_shards : ?at_barrier:(now:float -> unit) -> t -> cap:float -> unit
-(** Run one conservative parallel phase until no shard holds an event at
-    time [<= cap] ({!Bgp_engine.Shard_exec.run_phase}).  [at_barrier]
-    runs single-threaded once per window — the telemetry-probe hook. *)
-
-val shard_now : t -> float
-(** Max shard clock. *)
-
-val shard_pending : t -> int
-(** Total live events across shards. *)
-
-val shard_events : t -> int
-(** Executed events, normalized so replicated fault events count once
-    (as a sequential observer would see them).  Falls back to the
-    scheduler's count when unsharded. *)
-
-val shard_stats : t -> Bgp_engine.Shard_exec.stats
-
-val inject_failure_sharded : t -> at:float -> Bgp_topology.Failure.t -> unit
-(** {!inject_failure} for a sharded network, called by the orchestrator
-    between phases: [at] is the injection time (must be [>=] every shard
-    clock); detections are scheduled onto each surviving peer's own
-    shard, with the hold-timer samples drawn in the same global order as
-    the sequential path. *)
-
-val inject_link_failures_sharded : t -> at:float -> (int * int) list -> unit
-
-(** {3 Replica-local fault hooks}
-
-    {!Fault_injector.install_sharded} replicates every fault event into
-    every shard's scheduler with preassigned trace ids, so each shard's
-    fault tables evolve identically without cross-shard reads.  Each
-    hook touches only shard [shard]'s tables; session notifications and
-    trace records fire only on the shard owning the affected router. *)
-
-val note_replica : t -> shard:int -> unit
-(** Count one replicated fault event executing on [shard], for the
-    {!shard_events} normalization. *)
-
-val record_fault_replica :
-  t -> shard:int -> id:int -> label:string -> router:int -> cause:int -> unit
-(** Record a [Fault] event with the preassigned [id] — only on the shard
-    owning [router] (no-op elsewhere or when untraced). *)
-
-val sever_link_sharded : t -> shard:int -> cause:int -> u:int -> v:int -> unit
-val restore_link_sharded : t -> shard:int -> cause:int -> u:int -> v:int -> unit
-val set_link_factor_sharded : t -> shard:int -> u:int -> v:int -> float -> unit
-val set_link_loss_sharded : t -> shard:int -> u:int -> v:int -> float -> unit
-val set_clock_skew_sharded : t -> shard:int -> router:int -> float -> unit
+val probe_tick : t -> Telemetry.t -> time:float -> unit
+(** Record one probe tick: a {!Telemetry.row} per surviving router,
+    stamped [time] (the runner passes the window start from {!run}'s
+    barrier hook).  Read-only — draws no randomness and schedules
+    nothing. *)

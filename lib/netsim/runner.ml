@@ -112,7 +112,13 @@ let apply_dest_sample s topo rng_sample net_config =
     end
   | _ -> net_config
 
-let run_sequential ?inspect s =
+(* One trial on the windowed engine ([Network.run]), across
+   [sharding] domains (default one).  Everything the shards do is keyed on
+   layout-free values, so the result is bit-identical for any shard count
+   — the test battery pins shards in {1, 2, 4} against each other. *)
+let run_gen ?inspect s =
+  let shards = Option.value ~default:1 s.sharding in
+  if shards < 1 then invalid_arg "Runner.run: sharding must be >= 1";
   (* Wall-clock phase spans: reads of the monotonic clock only, so the
      run is bit-identical with profiling off and on. *)
   let prof = Profile.on () in
@@ -129,7 +135,6 @@ let run_sequential ?inspect s =
   (match Topology.validate topo with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Runner.run: bad topology: " ^ msg));
-  let sched = Sched.create () in
   let net_config =
     if s.policies then
       { s.net with Network.relationships = Some (Relationships.infer topo) }
@@ -139,192 +144,33 @@ let run_sequential ?inspect s =
   (* Telemetry lives per run: the config only carries the spec, the
      instance (and hence all recorded state) is private to this trial. *)
   let tele = Option.map Telemetry.create net_config.Network.telemetry in
-  let net = Network.build ~sched ~rng:rng_net ~config:net_config ?telemetry:tele topo in
-  if prof then Profile.record Build p0;
-  let p0 = if prof then Profile.now_ns () else 0L in
-  (* Phase 1: reach steady state — by cold-start simulation (as in the
-     paper) or by direct analytic construction. *)
-  (match s.warmup with
-  | Simulated ->
-    Network.start_all net;
-    (match tele with
-    | Some t when (Telemetry.conf t).Telemetry.probe_warmup ->
-      Network.start_probes net t
-    | Some _ | None -> ());
-    Sched.run ~until:s.sim_time_cap sched
-  | Analytic ->
-    if s.policies then
-      invalid_arg "Runner.run: analytic warm-up is policy-free only";
-    Warmup.install net);
-  if prof then Profile.record Warmup p0;
-  let warmup_converged = Sched.pending sched = 0 in
-  let warmup_delay = Network.last_activity net in
-  let warmup_messages = Network.messages_sent net in
-  let warmup_adverts = Network.adverts_sent net in
-  let warmup_withdrawals = Network.withdrawals_sent net in
-  (if s.validate && warmup_converged then
-     Validate.check_exn net ~failure:(Failure.none topo));
-  (* Phase 2: failure and re-convergence. *)
-  let p0 = if prof then Profile.now_ns () else 0L in
-  let failure = make_failure topo s.failure in
-  let t_fail = Sched.now sched +. 1.0 in
-  ignore
-    (Sched.schedule_at sched ~time:t_fail (fun () ->
-         Network.inject_failure net failure;
-         (match s.failure with
-         | Links links -> Network.inject_link_failures net links
-         | Fraction _ | Routers _ | No_failure -> ());
-         (match (s.faults, rng_faults) with
-         | Some schedule, Some rng ->
-           Network.enable_faults net ~rng;
-           Fault_injector.install net ~sched schedule
-         | _ -> ());
-         match tele with
-         | Some t ->
-           Telemetry.set_fail_time t t_fail;
-           (* Baseline tick at the failure instant, then the periodic
-              chain through re-convergence. *)
-           Network.probe_tick net t;
-           Network.start_probes net t
-         | None -> ()));
-  (* Steady-state churn: arm the workload ops as causal roots relative to
-     [t_fail] and observe settle times + windowed throughput.  The hooks
-     are pure observation and the sampler only exists under churn, so the
-     churn-free path schedules exactly what it always did. *)
-  let monitor =
-    match s.churn with
-    | None -> None
-    | Some schedule ->
-      let m = Churn.monitor net ~t0:t_fail ~window:s.churn_window in
-      Churn.install net ~sched ~t0:t_fail schedule;
-      Churn.start_sampler m net ~sched;
-      Some (schedule, m)
+  let owner =
+    if shards = 1 then None
+    else Some (Bgp_topology.Partition.compute ~shards ~seed:s.seed topo).owner
   in
-  if prof then Profile.record Fail p0;
-  let p0 = if prof then Profile.now_ns () else 0L in
-  Sched.run ~until:(t_fail +. s.sim_time_cap) sched;
-  if prof then Profile.record Converge p0;
-  let p0 = if prof then Profile.now_ns () else 0L in
-  (* End-of-run hook: the chaos harness reads per-router queue/RIB state
-     here, before the network goes out of scope.  Pure reads only. *)
-  (match inspect with Some f -> f net | None -> ());
-  let converged = warmup_converged && Sched.pending sched = 0 in
-  let last = Network.last_activity net in
-  let convergence_delay = Float.max 0.0 (last -. t_fail) in
-  let churn_stats =
-    Option.map (fun (schedule, m) -> Churn.stats m net ~schedule ~last_activity:last)
-      monitor
-  in
-  let issues =
-    (* Link failures change the graph underneath the survivor-BFS checks;
-       only the router-failure invariants are validated. *)
-    match s.failure with
-    | Links _ -> []
-    | Fraction _ | Routers _ | No_failure ->
-      if s.validate && converged then Validate.check net ~failure else []
-  in
-  let metrics = Network.sum_metrics net in
-  (* Post-hoc causal analysis of the traced run; pure read of the trace,
-     so it cannot perturb anything above. *)
-  let attribution =
-    Option.map
-      (fun trace -> Attribution.of_trace ~t_fail trace)
-      net_config.Network.trace
-  in
-  (* Fold the component totals into the telemetry report (read at
-     snapshot time below). *)
-  (match (tele, attribution) with
-  | Some t, Some attr ->
-    let reg name v = Telemetry.register t ~name ~kind:Telemetry.Gauge (fun () -> v) in
-    let open Attribution in
-    reg "attr.queueing" attr.totals.queueing;
-    reg "attr.processing" attr.totals.processing;
-    reg "attr.mrai_hold" attr.totals.mrai_hold;
-    reg "attr.propagation" attr.totals.propagation;
-    reg "attr.critical_hops" (float_of_int (List.length attr.critical_path))
-  | _ -> ());
-  (* End-of-run memory snapshot: deterministic word-model estimates, so
-     it may live inside the structurally-compared telemetry report. *)
-  (match tele with
-  | Some t -> Telemetry.set_memory t (Network.memory_snapshot net)
-  | None -> ());
-  if prof then begin
-    Profile.counter_max "sched.max_live.shard0" (Sched.max_live sched);
-    Profile.counter_max "sched.slab_cap.shard0" (Sched.slab_capacity sched);
-    Profile.record Finalize p0
-  end;
-  {
-    converged;
-    warmup_delay;
-    convergence_delay;
-    messages = Network.messages_sent net - warmup_messages;
-    adverts = Network.adverts_sent net - warmup_adverts;
-    withdrawals = Network.withdrawals_sent net - warmup_withdrawals;
-    warmup_messages;
-    eliminated = metrics.Bgp_proto.Router.eliminated;
-    max_queue = metrics.Bgp_proto.Router.max_queue;
-    mrai_transitions = metrics.Bgp_proto.Router.mrai_transitions;
-    events = Sched.events_executed sched;
-    lost_messages = Network.lost_messages net;
-    survivors_connected = Failure.survivors_connected topo failure;
-    issues;
-    report = Option.map Telemetry.report tele;
-    attribution;
-    churn = churn_stats;
-  }
-
-(* --- Sharded run ---------------------------------------------------------- *)
-
-(* Same experiment, executed across OCaml 5 domains via the conservative
-   windowed executor.  The RNG split discipline matches [run_sequential]
-   exactly (root -> topo, net, faults-if-scheduled), and everything the
-   shards do is keyed on layout-free values, so the result is
-   bit-identical for any shard count — the test battery pins shards in
-   {1, 2, 4} against each other.  It is NOT bit-identical to the
-   sequential path (different delivery machinery); the sequential path
-   and its goldens stay untouched. *)
-let run_sharded ?inspect s ~shards =
-  if shards < 1 then invalid_arg "Runner.run: sharding must be >= 1";
-  let prof = Profile.on () in
-  let p0 = if prof then Profile.now_ns () else 0L in
-  let root = Rng.create s.seed in
-  let rng_topo = Rng.split root in
-  let rng_net = Rng.split root in
-  let rng_faults = Option.map (fun _ -> Rng.split root) s.faults in
-  let rng_sample = Option.map (fun _ -> Rng.split root) s.dest_sample in
-  let topo = make_topology rng_topo s.topo in
-  (match Topology.validate topo with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Runner.run: bad topology: " ^ msg));
-  let net_config =
-    if s.policies then
-      { s.net with Network.relationships = Some (Relationships.infer topo) }
-    else s.net
-  in
-  let net_config = apply_dest_sample s topo rng_sample net_config in
-  let tele = Option.map Telemetry.create net_config.Network.telemetry in
-  let part = Bgp_topology.Partition.compute ~shards ~seed:s.seed topo in
   let lookahead =
     Fault_injector.lookahead ~link_delay:net_config.Network.link_delay
       (Option.value ~default:[] s.faults)
   in
   let net =
-    Network.build_sharded ~shards ~owner:part.Bgp_topology.Partition.owner ~lookahead
-      ~rng:rng_net ~config:net_config ?telemetry:tele topo
+    Network.build ~shards ?owner ~lookahead ~rng:rng_net ~config:net_config
+      ?telemetry:tele topo
   in
   if prof then Profile.record Build p0;
   (* Probe ticks ride the barrier windows: [at_barrier] runs
      single-threaded once per window with the window's start time, the
      only point where cross-shard router state is stable.  Tick times are
-     therefore window starts (shard-count invariant), not the sequential
-     path's exact interval grid. *)
+     therefore window starts (shard-count invariant), not an exact
+     interval grid. *)
   let next_probe = ref infinity in
   let probe_hook t ~now =
     if now >= !next_probe then begin
-      Network.probe_tick ~time:now net t;
+      Network.probe_tick net t ~time:now;
       next_probe := now +. (Telemetry.conf t).Telemetry.probe_interval
     end
   in
+  (* Phase 1: reach steady state — by cold-start simulation (as in the
+     paper) or by direct analytic construction. *)
   let p0 = if prof then Profile.now_ns () else 0L in
   (match s.warmup with
   | Simulated ->
@@ -336,12 +182,12 @@ let run_sharded ?inspect s ~shards =
         Some (probe_hook t)
       | Some _ | None -> None
     in
-    Network.run_shards ?at_barrier net ~cap:s.sim_time_cap
+    Network.run ?at_barrier net ~cap:s.sim_time_cap
   | Analytic ->
     if s.policies then invalid_arg "Runner.run: analytic warm-up is policy-free only";
     Warmup.install net);
   if prof then Profile.record Warmup p0;
-  let warmup_converged = Network.shard_pending net = 0 in
+  let warmup_converged = Network.pending net = 0 in
   let warmup_delay = Network.last_activity net in
   let warmup_messages = Network.messages_sent net in
   let warmup_adverts = Network.adverts_sent net in
@@ -353,24 +199,26 @@ let run_sharded ?inspect s ~shards =
      releases the shards. *)
   let p0 = if prof then Profile.now_ns () else 0L in
   let failure = make_failure topo s.failure in
-  let t_fail = Network.shard_now net +. 1.0 in
-  Network.inject_failure_sharded net ~at:t_fail failure;
+  let t_fail = Network.now net +. 1.0 in
+  Network.inject_failure net ~at:t_fail failure;
   (match s.failure with
-  | Links links -> Network.inject_link_failures_sharded net ~at:t_fail links
+  | Links links -> Network.inject_link_failures net ~at:t_fail links
   | Fraction _ | Routers _ | No_failure -> ());
   (match (s.faults, rng_faults) with
   | Some schedule, Some rng ->
     Network.enable_faults net ~rng;
-    Fault_injector.install_sharded net ~t_fail schedule
+    Fault_injector.install net ~t_fail schedule
   | _ -> ());
-  (* Churn ops land only on their router's owner shard (never replicated),
-     so counters need no [note_replica] normalisation. *)
+  (* Steady-state churn: arm the workload ops as causal roots relative to
+     [t_fail] and observe settle times + windowed throughput.  The hooks
+     are pure observation, so the churn-free path schedules exactly what
+     it always did. *)
   let monitor =
     match s.churn with
     | None -> None
     | Some schedule ->
       let m = Churn.monitor net ~t0:t_fail ~window:s.churn_window in
-      Churn.install_sharded net ~t_fail schedule;
+      Churn.install net ~t_fail schedule;
       Some (schedule, m)
   in
   if prof then Profile.record Fail p0;
@@ -378,13 +226,14 @@ let run_sharded ?inspect s ~shards =
     match tele with
     | Some t ->
       Telemetry.set_fail_time t t_fail;
-      Network.probe_tick ~time:t_fail net t;
+      (* Baseline tick at the failure instant, then one per interval
+         through re-convergence. *)
+      Network.probe_tick net t ~time:t_fail;
       next_probe := t_fail +. (Telemetry.conf t).Telemetry.probe_interval;
       Some (probe_hook t)
     | None -> None
   in
-  (* Throughput samples ride the barrier windows, like probe ticks:
-     window starts are shard-count invariant. *)
+  (* Throughput samples ride the barrier windows too. *)
   let at_barrier =
     match monitor with
     | None -> at_barrier
@@ -405,11 +254,13 @@ let run_sharded ?inspect s ~shards =
             churn_hook ~now))
   in
   let p0 = if prof then Profile.now_ns () else 0L in
-  Network.run_shards ?at_barrier net ~cap:(t_fail +. s.sim_time_cap);
+  Network.run ?at_barrier net ~cap:(t_fail +. s.sim_time_cap);
   if prof then Profile.record Converge p0;
   let p0 = if prof then Profile.now_ns () else 0L in
+  (* End-of-run hook: the chaos harness reads per-router queue/RIB state
+     here, before the network goes out of scope.  Pure reads only. *)
   (match inspect with Some f -> f net | None -> ());
-  let converged = warmup_converged && Network.shard_pending net = 0 in
+  let converged = warmup_converged && Network.pending net = 0 in
   let last = Network.last_activity net in
   let convergence_delay = Float.max 0.0 (last -. t_fail) in
   let churn_stats =
@@ -417,27 +268,21 @@ let run_sharded ?inspect s ~shards =
       monitor
   in
   let issues =
+    (* Link failures change the graph underneath the survivor-BFS checks;
+       only the router-failure invariants are validated. *)
     match s.failure with
     | Links _ -> []
     | Fraction _ | Routers _ | No_failure ->
       if s.validate && converged then Validate.check net ~failure else []
   in
   let metrics = Network.sum_metrics net in
-  (* Merge the per-shard trace slices into the user's trace: sort by
-     (time, strided id), renumber densely, rewrite causes — the result
-     reads exactly like a sequential trace and is shard-count invariant. *)
+  (* Post-hoc causal analysis of the traced run; pure read of the trace,
+     so it cannot perturb anything above. *)
   let attribution =
-    Option.map
-      (fun user ->
-        let m0 = if prof then Profile.now_ns () else 0L in
-        let merged =
-          Trace.merge_renumber (List.map Trace.events (Network.shard_traces net))
-        in
-        if prof then Profile.record Merge m0;
-        List.iter (Trace.record user) merged;
-        Attribution.analyze ~t_fail merged)
-      net_config.Network.trace
+    Option.map (fun trace -> Attribution.of_trace ~t_fail trace) net_config.Network.trace
   in
+  (* Fold the component totals into the telemetry report (read at
+     snapshot time below). *)
   (match (tele, attribution) with
   | Some t, Some attr ->
     let reg name v = Telemetry.register t ~name ~kind:Telemetry.Gauge (fun () -> v) in
@@ -448,6 +293,8 @@ let run_sharded ?inspect s ~shards =
     reg "attr.propagation" attr.totals.propagation;
     reg "attr.critical_hops" (float_of_int (List.length attr.critical_path))
   | _ -> ());
+  (* End-of-run memory snapshot: deterministic word-model estimates, so
+     it may live inside the structurally-compared telemetry report. *)
   (match tele with
   | Some t -> Telemetry.set_memory t (Network.memory_snapshot net)
   | None -> ());
@@ -474,7 +321,7 @@ let run_sharded ?inspect s ~shards =
     eliminated = metrics.Bgp_proto.Router.eliminated;
     max_queue = metrics.Bgp_proto.Router.max_queue;
     mrai_transitions = metrics.Bgp_proto.Router.mrai_transitions;
-    events = Network.shard_events net;
+    events = Network.events net;
     lost_messages = Network.lost_messages net;
     survivors_connected = Failure.survivors_connected topo failure;
     issues;
@@ -482,11 +329,6 @@ let run_sharded ?inspect s ~shards =
     attribution;
     churn = churn_stats;
   }
-
-let run_gen ?inspect s =
-  match s.sharding with
-  | Some shards -> run_sharded ?inspect s ~shards
-  | None -> run_sequential ?inspect s
 
 (* [run] keeps the plain [scenario -> result] arrow: it is passed
    first-class to [Pool.map], which an optional argument would break. *)

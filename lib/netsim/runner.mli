@@ -39,12 +39,11 @@ type scenario = {
           and the run bit-identical to pre-chaos builds *)
   sharding : int option;
       (** [Some k]: run the single trial across [k] OCaml 5 domains
-          ({!Network.build_sharded} over a {!Bgp_topology.Partition},
+          ({!Network.build} over a {!Bgp_topology.Partition},
           conservative barrier-windowed execution with the link delay as
-          lookahead).  Results are bit-identical for every [k >= 1] —
-          but produced by different machinery than [None], which keeps
-          the historical sequential path (and its goldens) untouched.
-          See DESIGN.md §11. *)
+          lookahead); [None] is one shard on the caller's domain.  The
+          engine is the same either way and results are bit-identical
+          for every [k >= 1].  See DESIGN.md §11. *)
   churn : Churn.schedule option;
       (** sustained-load workload armed at the failure instant (onsets
           are offsets from [t_fail]); a steady-state {!Churn.monitor}
@@ -79,7 +78,7 @@ val scenario :
   scenario
 (** Defaults: paper BGP config ({!Bgp_proto.Config.default}), no failure,
     seed 1, cap 36000 s, validation off, simulated warm-up, no policies,
-    no fault schedule, no sharding (sequential execution), no churn
+    no fault schedule, one shard, no churn
     (churn window 0.5 s), no destination subsampling. *)
 
 type result = {
@@ -95,7 +94,10 @@ type result = {
   eliminated : int;  (** stale updates removed by the batching queue *)
   max_queue : int;  (** deepest input queue seen at any router *)
   mrai_transitions : int;  (** dynamic-scheme level changes *)
-  events : int;  (** simulator events executed (cost indicator) *)
+  events : int;
+      (** simulator events executed (cost indicator); replicated fault
+          events count once, and the failure injection, probes and churn
+          samples are not events *)
   lost_messages : int;
       (** messages the fault layer dropped in flight; 0 without [faults].
           Conservation: update sends = deliveries + [lost_messages] *)
@@ -103,9 +105,9 @@ type result = {
   issues : Validate.issue list;  (** non-empty only when [validate] *)
   report : Telemetry.report option;
       (** telemetry report when [net.telemetry] is set; [None] otherwise.
-          With telemetry off the whole record is bit-identical to a run
-          without the telemetry layer; with it on, only [events] differs
-          (probe events), never a routing-relevant field *)
+          Probes run in the engine's barrier hook and schedule nothing,
+          so every other field, [events] included, is bit-identical with
+          telemetry on or off *)
   attribution : Attribution.t option;
       (** causal convergence-delay attribution when [net.trace] is set;
           [None] otherwise.  Tracing perturbs nothing: all other fields

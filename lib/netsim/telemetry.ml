@@ -43,8 +43,7 @@ type metric = { mkind : kind; read : unit -> float }
 (* Memory accounting: estimated sizes from fixed word models (see
    Rib.approx_bytes / Path.table_stats), so every field is a pure
    function of simulated state — the same across jobs and safe to
-   compare structurally.  One [shard_memory] per shard scheduler
-   (pseudo-shard 0 for a sequential run). *)
+   compare structurally.  One [shard_memory] per shard scheduler. *)
 type shard_memory = {
   shard : int;
   routers : int;

@@ -78,13 +78,13 @@ type shard_memory = {
 }
 
 type memory = {
-  per_shard : shard_memory list;  (** sorted by shard; one entry
-      (pseudo-shard 0) for a sequential run *)
+  per_shard : shard_memory list;  (** sorted by shard; one entry for a
+      one-shard run *)
   rib_bytes_total : int;
   path_bytes_total : int;
   path_sharing : float;
       (** naive per-path hop storage over actual shared-spine storage *)
-  trace_len : int;  (** events held in the trace ring *)
+  trace_len : int;  (** events held in the run trace's ring *)
   trace_cap : int;
   trace_dropped : int;
   trace_spilled : int;

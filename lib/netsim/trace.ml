@@ -270,45 +270,6 @@ let event_of_json ~paths line =
       Fault { id; time; label = str "label"; router = int "router"; cause = int "cause" }
     | kind -> raise (J.Bad (Printf.sprintf "unknown event type %S" kind))
 
-(* --- Shard-trace merge ----------------------------------------------------- *)
-
-let with_ids ~id ~cause = function
-  | Update_sent r -> Update_sent { r with id; cause }
-  | Update_delivered r -> Update_delivered { r with id; cause }
-  | Processed r -> Processed { r with id; cause }
-  | Mrai_flush r -> Mrai_flush { r with id; cause }
-  | Router_failed r -> Router_failed { r with id }
-  | Session_down r -> Session_down { r with id; cause }
-  | Session_up r -> Session_up { r with id; cause }
-  | Fault r -> Fault { r with id; cause }
-
-(* Merge per-shard event lists into one sequential-looking trace.  Input
-   ids must be globally unique with ids allocated in causal order within
-   each (time-tied) group — the sharded network's strided per-router ids
-   and its high fault-id range satisfy both.  The merge sorts by
-   (time, id), renumbers densely from 0 and rewrites cause pointers; a
-   cause whose event is missing (evicted from a full per-shard ring)
-   degrades to [no_cause], exactly like a sequential ring overflow. *)
-let merge_renumber lists =
-  let arr = Array.of_list (List.concat lists) in
-  Array.sort
-    (fun a b ->
-      let c = Float.compare (time_of a) (time_of b) in
-      if c <> 0 then c else Int.compare (id_of a) (id_of b))
-    arr;
-  let remap = Hashtbl.create (2 * Array.length arr) in
-  Array.iteri (fun i e -> Hashtbl.replace remap (id_of e) i) arr;
-  Array.to_list
-    (Array.mapi
-       (fun i e ->
-         let cause =
-           let c = cause_of e in
-           if c = no_cause then no_cause
-           else (match Hashtbl.find_opt remap c with Some j -> j | None -> no_cause)
-         in
-         with_ids ~id:i ~cause e)
-       arr)
-
 (* --- Run-meta line --------------------------------------------------------- *)
 
 (* One JSONL line carrying what a trace file cannot reconstruct from its
@@ -342,7 +303,6 @@ type t = {
   mutable size : int;
   mutable dropped : int;
   mutable spilled : int;
-  mutable next_id : int;
   spill : string option;
   mutable sink : out_channel option;
 }
@@ -357,15 +317,9 @@ let create ?(capacity = 100_000) ?spill () =
     size = 0;
     dropped = 0;
     spilled = 0;
-    next_id = 0;
     spill;
     sink;
   }
-
-let fresh_id t =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  id
 
 let record t event =
   if Array.length t.data = 0 then t.data <- Array.make t.capacity event;

@@ -2,9 +2,13 @@
     with per-event ids and cause pointers, for debugging and post-hoc
     convergence-delay attribution ({!Attribution}).
 
-    Every recorded event carries a unique [id] (monotonic per trace) and a
-    [cause]: the id of the event that directly triggered it, or [no_cause]
-    for roots (failure injections, origination-time sends).  The cause
+    Every recorded event carries a unique [id] (the network allocates
+    per-router strided ids, see {!Network}; ids are not ordered by time)
+    and a [cause]: the id of the event that directly triggered it, or
+    [no_cause] for roots (failure injections, origination-time sends).
+    The network records events in [(time, id)] order, so a cause
+    precedes its effect in the trace — except a churn root, whose
+    preassigned id sorts after the same-time sends it triggers.  The cause
     chain is what {!Attribution} walks to recover the critical path from a
     failure to the last route change.
 
@@ -111,16 +115,6 @@ val terminals_by_dest : event list -> (int * event) list
 
 val pp_event : Format.formatter -> event -> unit
 
-val merge_renumber : event list list -> event list
-(** Merge per-shard event lists into one sequential-looking trace:
-    events sorted by [(time, id)], ids renumbered densely from [0],
-    cause pointers rewritten through the renumbering (a cause whose
-    event is absent — evicted from a full shard ring — degrades to
-    [no_cause]).  Requires globally-unique input ids allocated in causal
-    order within each simultaneous group, which the sharded network's
-    strided per-router ids guarantee; under that contract the result is
-    bit-identical for any shard count.  See DESIGN.md §11. *)
-
 type t
 
 val create : ?capacity:int -> ?spill:string -> unit -> t
@@ -129,9 +123,6 @@ val create : ?capacity:int -> ?spill:string -> unit -> t
     file at that path (created/truncated here) and counted in [spilled];
     without it the event is lost and counted in [dropped].
     @raise Invalid_argument if [capacity <= 0]. *)
-
-val fresh_id : t -> int
-(** Next event id (monotonic; never reset, not even by [clear]). *)
 
 val record : t -> event -> unit
 

@@ -167,43 +167,52 @@ let check_family name scenario () =
       && attr.Attribution.tails.Attribution.p95 <= attr.Attribution.tails.Attribution.p99)
   done
 
+(* The run's trace does all ring, drop and spill accounting, at every
+   shard count: the shards' recorded events all pass through it. *)
+let traced_run ~shards trace =
+  Runner.run
+    {
+      flat_scenario with
+      Runner.sharding = Some shards;
+      net = { flat_scenario.Runner.net with Network.trace = Some trace };
+    }
+
 (* (3a): a tiny ring that spills to JSONL must reconstruct the identical
    attribution — nothing is lost on ring wrap. *)
-let check_spill_roundtrip () =
+let check_spill_roundtrip shards =
+  let ctx what = Printf.sprintf "shards=%d: %s" shards what in
   let spill = Filename.temp_file "bgpsim_spill" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove spill with Sys_error _ -> ())
     (fun () ->
-      let big = Runner.run (with_trace ~capacity:1_000_000 flat_scenario) in
+      let big_trace = Trace.create ~capacity:1_000_000 () in
+      let big = traced_run ~shards big_trace in
       let small_trace = Trace.create ~capacity:500 ~spill () in
-      let small =
-        Runner.run
-          {
-            flat_scenario with
-            Runner.net =
-              { flat_scenario.Runner.net with Network.trace = Some small_trace };
-          }
-      in
+      let small = traced_run ~shards small_trace in
       let a_big = get_attr "spill: big" big in
       let a_small = get_attr "spill: small" small in
-      checkb "small ring spilled" true (Trace.spilled small_trace > 0);
-      checki "no drops with a sink" 0 (Trace.dropped small_trace);
-      Alcotest.check Alcotest.string "attribution identical across spill"
+      let total = Trace.length big_trace in
+      checki (ctx "small ring spilled the overflow") (total - 500) (Trace.spilled small_trace);
+      checki (ctx "no drops with a sink") 0 (Trace.dropped small_trace);
+      checki (ctx "every event reads back") total (List.length (Trace.events small_trace));
+      Alcotest.check Alcotest.string (ctx "attribution identical across spill")
         (Attribution.to_json a_big)
         (Attribution.to_json a_small);
-      checkb "spilled trace complete" true a_small.Attribution.complete)
+      checkb (ctx "spilled trace complete") true a_small.Attribution.complete)
 
 (* Without a spill sink, a small ring must *count* what it loses and
-   report the truncation (complete = false or fewer analyzed events), not
-   silently pretend full coverage. *)
-let check_drop_counting () =
+   report the truncation (complete = false), not silently pretend full
+   coverage. *)
+let check_drop_counting shards =
+  let ctx what = Printf.sprintf "shards=%d: %s" shards what in
+  let big_trace = Trace.create ~capacity:1_000_000 () in
+  let _ = traced_run ~shards big_trace in
   let trace = Trace.create ~capacity:50 () in
-  let scenario =
-    { flat_scenario with Runner.net = { flat_scenario.Runner.net with Network.trace = Some trace } }
-  in
-  let _ = Runner.run scenario in
-  checkb "drops counted" true (Trace.dropped trace > 0);
-  checki "nothing spilled without a sink" 0 (Trace.spilled trace)
+  let r = traced_run ~shards trace in
+  checki (ctx "every lost event counted") (Trace.length big_trace - 50) (Trace.dropped trace);
+  checki (ctx "nothing spilled without a sink") 0 (Trace.spilled trace);
+  checkb (ctx "attribution reports the truncation") false
+    (get_attr "drops" r).Attribution.complete
 
 (* (3b): every traced event survives a JSONL round-trip byte-for-byte
    (modulo path re-interning, which the serialization hides). *)
@@ -676,9 +685,10 @@ let () =
         ] );
       ( "serialization",
         [
-          Alcotest.test_case "spill round-trip" `Quick check_spill_roundtrip;
-          Alcotest.test_case "drop counting without sink" `Quick
-            check_drop_counting;
+          Alcotest.test_case "spill round-trip" `Quick (fun () ->
+              List.iter check_spill_roundtrip [ 1; 2; 4 ]);
+          Alcotest.test_case "drop counting without sink" `Quick (fun () ->
+              List.iter check_drop_counting [ 1; 2; 4 ]);
           Alcotest.test_case "event JSONL round-trip" `Quick
             check_event_roundtrip;
           Alcotest.test_case "analyze JSON self-consistency" `Quick

@@ -112,7 +112,7 @@ let test_shard_invariance () =
 
 let test_sequential_repeatable () =
   let run () = churn_stats (Runner.run (churn_scenario ~seed:17 storm)) in
-  checks "same seed, same stats (sequential)" (fingerprint (run ()))
+  checks "same seed, same stats (one shard)" (fingerprint (run ()))
     (fingerprint (run ()))
 
 (* --- (2) generator and shrinker well-formedness ----------------------- *)

@@ -2,7 +2,6 @@
    kernel, failure injection, invariants, and determinism. *)
 
 module Rng = Bgp_engine.Rng
-module Sched = Bgp_engine.Scheduler
 module Graph = Bgp_topology.Graph
 module Topology = Bgp_topology.Topology
 module Degree_dist = Bgp_topology.Degree_dist
@@ -42,15 +41,14 @@ let run_fixed ?(config = Config.default) ?(failure = Runner.No_failure) ?(seed =
 (* Convergence on a line: 0-1-2-3.  Endpoints must learn 3-hop paths. *)
 let test_line_converges () =
   let topo = fixed_topo 4 [ (0, 1); (1, 2); (2, 3) ] in
-  let sched = Sched.create () in
   let net =
-    Network.build ~sched ~rng:(Rng.create 5)
+    Network.build ~rng:(Rng.create 5)
       ~config:(Network.config_default Config.default)
       topo
   in
   Network.start_all net;
-  Sched.run sched;
-  checki "queue drained" 0 (Sched.pending sched);
+  Network.run net ~cap:infinity;
+  checki "queue drained" 0 (Network.pending net);
   Alcotest.check path_t "0 -> 3 via the chain" (Some [ 1; 2; 3 ])
     (best_hops (Network.router net 0) 3);
   Alcotest.check path_t "3 -> 0" (Some [ 2; 1; 0 ])
@@ -61,14 +59,13 @@ let test_line_converges () =
 let test_ring_prefers_shorter_arc () =
   (* 6-ring: 0..5; 0 -> 3 has two equal arcs, 0 -> 2 a unique short one. *)
   let topo = fixed_topo 6 [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 0) ] in
-  let sched = Sched.create () in
   let net =
-    Network.build ~sched ~rng:(Rng.create 5)
+    Network.build ~rng:(Rng.create 5)
       ~config:(Network.config_default Config.default)
       topo
   in
   Network.start_all net;
-  Sched.run sched;
+  Network.run net ~cap:infinity;
   (match Router.best_path_to (Network.router net 0) 2 with
   | Some p -> checki "2-hop path" 2 (Types.path_length p)
   | None -> Alcotest.fail "no route");
@@ -116,17 +113,16 @@ let test_partition_withdraws_everything () =
 
 let test_failed_dest_unreachable () =
   let topo = fixed_topo 4 [ (0, 1); (1, 2); (2, 3); (3, 0) ] in
-  let sched = Sched.create () in
   let net =
-    Network.build ~sched ~rng:(Rng.create 5)
+    Network.build ~rng:(Rng.create 5)
       ~config:(Network.config_default Config.default)
       topo
   in
   Network.start_all net;
-  Sched.run sched;
+  Network.run net ~cap:infinity;
   let failure = Failure.of_list topo [ 2 ] in
-  Network.inject_failure net failure;
-  Sched.run sched;
+  Network.inject_failure net ~at:(Network.now net) failure;
+  Network.run net ~cap:infinity;
   List.iter
     (fun r ->
       checkb
@@ -202,9 +198,8 @@ let test_realistic_topology_run () =
 let test_ibgp_mesh_sessions () =
   let rng = Rng.create 8 in
   let topo = As_topology.generate rng (As_topology.default ~n_ases:10) in
-  let sched = Sched.create () in
   let net =
-    Network.build ~sched ~rng:(Rng.create 9)
+    Network.build ~rng:(Rng.create 9)
       ~config:(Network.config_default Config.default)
       topo
   in
@@ -245,19 +240,13 @@ let test_warmup_message_bound () =
    cold-start converges to: selections, Adj-RIB-Ins and Adj-RIB-Outs. *)
 let assert_warmup_equivalence topo =
   let build () =
-    let sched = Sched.create () in
-    let net =
-      Network.build ~sched ~rng:(Rng.create 11)
-        ~config:(Network.config_default Config.default)
-        topo
-    in
-    (sched, net)
+    Network.build ~rng:(Rng.create 11) ~config:(Network.config_default Config.default) topo
   in
-  let sched_sim, net_sim = build () in
+  let net_sim = build () in
   Network.start_all net_sim;
-  Sched.run sched_sim;
-  checki "simulated warmup drained" 0 (Sched.pending sched_sim);
-  let _, net_ana = build () in
+  Network.run net_sim ~cap:infinity;
+  checki "simulated warmup drained" 0 (Network.pending net_sim);
+  let net_ana = build () in
   Bgp_netsim.Warmup.install net_ana;
   let n = Topology.num_routers topo in
   for r = 0 to n - 1 do
@@ -301,17 +290,12 @@ let test_warmup_equivalence_no_sender_check () =
   let topo = Topology.flat rng ~spec:Degree_dist.skewed_70_30 ~n:25 in
   let config = { Config.default with Config.sender_side_loop_check = false } in
   let build () =
-    let sched = Sched.create () in
-    let net =
-      Network.build ~sched ~rng:(Rng.create 11) ~config:(Network.config_default config)
-        topo
-    in
-    (sched, net)
+    Network.build ~rng:(Rng.create 11) ~config:(Network.config_default config) topo
   in
-  let sched_sim, net_sim = build () in
+  let net_sim = build () in
   Network.start_all net_sim;
-  Sched.run sched_sim;
-  let _, net_ana = build () in
+  Network.run net_sim ~cap:infinity;
+  let net_ana = build () in
   Bgp_netsim.Warmup.install net_ana;
   for r = 0 to 24 do
     for dest = 0 to 24 do
@@ -354,16 +338,16 @@ let test_detection_delay_config () =
 let overload_census ~mrai ~frac =
   let rng = Rng.create 3 in
   let topo = Topology.flat rng ~spec:Degree_dist.skewed_70_30 ~n:120 in
-  let sched = Sched.create () in
   let net =
-    Network.build ~sched ~rng:(Rng.create 4)
+    Network.build ~rng:(Rng.create 4)
       ~config:(Network.config_default Config.(with_mrai (Static mrai) default))
       topo
   in
   Network.start_all net;
-  Sched.run sched;
-  Network.inject_failure net (Bgp_topology.Failure.contiguous topo ~fraction:frac);
-  Sched.run sched;
+  Network.run net ~cap:infinity;
+  Network.inject_failure net ~at:(Network.now net)
+    (Bgp_topology.Failure.contiguous topo ~fraction:frac);
+  Network.run net ~cap:infinity;
   (* Overloaded = the backlog could not be cleared within one MRAI window
      at some point (the paper's notion of an overloaded node). *)
   (topo, Network.overloaded_routers net ~threshold:mrai)
@@ -436,7 +420,7 @@ module Trace = Bgp_netsim.Trace
 let test_trace_ring_buffer () =
   let t = Trace.create ~capacity:3 () in
   for i = 1 to 5 do
-    Trace.record t (Trace.Router_failed { id = Trace.fresh_id t; time = float_of_int i; router = i })
+    Trace.record t (Trace.Router_failed { id = i; time = float_of_int i; router = i })
   done;
   checki "bounded" 3 (Trace.length t);
   checki "overwrites counted" 2 (Trace.dropped t);
@@ -517,18 +501,17 @@ let test_trace_records_network_events () =
   let net_config =
     { (Network.config_default Config.default) with Network.trace = Some trace }
   in
-  let sched = Sched.create () in
-  let net = Network.build ~sched ~rng:(Rng.create 5) ~config:net_config topo in
+  let net = Network.build ~rng:(Rng.create 5) ~config:net_config topo in
   Network.start_all net;
-  Sched.run sched;
+  Network.run net ~cap:infinity;
   let sends = Trace.count trace ~pred:(function Trace.Update_sent _ -> true | _ -> false) in
   let recvs =
     Trace.count trace ~pred:(function Trace.Update_delivered _ -> true | _ -> false)
   in
   checki "sends recorded" (Network.messages_sent net) sends;
   checki "all delivered (no failures yet)" sends recvs;
-  Network.inject_failure net (Failure.of_list topo [ 2 ]);
-  Sched.run sched;
+  Network.inject_failure net ~at:(Network.now net) (Failure.of_list topo [ 2 ]);
+  Network.run net ~cap:infinity;
   checki "failure recorded" 1
     (Trace.count trace ~pred:(function Trace.Router_failed _ -> true | _ -> false));
   checki "both neighbours saw the session drop" 2
@@ -552,11 +535,10 @@ let test_prefixes_per_as_routes () =
   let config = { Config.default with Config.prefixes_per_as = 3 } in
   let rng = Rng.create 4 in
   let topo = Topology.flat rng ~spec:Degree_dist.skewed_70_30 ~n:20 in
-  let sched = Sched.create () in
-  let net = Network.build ~sched ~rng:(Rng.create 5) ~config:(Network.config_default config) topo in
+  let net = Network.build ~rng:(Rng.create 5) ~config:(Network.config_default config) topo in
   Network.start_all net;
-  Sched.run sched;
-  checki "drained" 0 (Sched.pending sched);
+  Network.run net ~cap:infinity;
+  checki "drained" 0 (Network.pending net);
   (* Every router must hold a route to every one of the 60 destinations,
      and same-AS prefixes must share their path. *)
   for r = 0 to 19 do
@@ -602,13 +584,12 @@ let test_prefixes_analytic_equivalence () =
   let rng = Rng.create 31 in
   let topo = Topology.flat rng ~spec:Degree_dist.skewed_70_30 ~n:15 in
   let build () =
-    let sched = Sched.create () in
-    (sched, Network.build ~sched ~rng:(Rng.create 6) ~config:(Network.config_default config) topo)
+    Network.build ~rng:(Rng.create 6) ~config:(Network.config_default config) topo
   in
-  let sched_sim, net_sim = build () in
+  let net_sim = build () in
   Network.start_all net_sim;
-  Sched.run sched_sim;
-  let _, net_ana = build () in
+  Network.run net_sim ~cap:infinity;
+  let net_ana = build () in
   Bgp_netsim.Warmup.install net_ana;
   for r = 0 to 14 do
     for dest = 0 to 29 do
@@ -688,16 +669,15 @@ let test_link_failure_reroutes () =
   checkb "converged" true r.Runner.converged;
   checkb "messages flowed" true (r.Runner.messages > 0);
   (* Rebuild to inspect final state (same seed, deterministic). *)
-  let sched = Sched.create () in
   let net =
-    Network.build ~sched ~rng:(Rng.create 5)
+    Network.build ~rng:(Rng.create 5)
       ~config:(Network.config_default Config.default)
       topo
   in
   Network.start_all net;
-  Sched.run sched;
-  Network.inject_link_failures net [ (0, 1) ];
-  Sched.run sched;
+  Network.run net ~cap:infinity;
+  Network.inject_link_failures net ~at:(Network.now net) [ (0, 1) ];
+  Network.run net ~cap:infinity;
   (match Router.best_path_to (Network.router net 0) 1 with
   | Some p -> checki "0 -> 1 goes the long way" 5 (Types.path_length p)
   | None -> Alcotest.fail "no route after link failure");

@@ -1,12 +1,12 @@
-(* Shard-count invariance of the sharded single-trial executor.
+(* Shard-count invariance of the one engine.
 
    The contract under test: a scenario with [sharding = Some k] produces
    bit-identical results for every k >= 1 — delays to the bit, message
    and event counts exact, identical attribution component sums — because
    every delivery is ordered by the layout-free (arrival time, source
-   router, send seq) key at globally-agreed barriers.  The sequential
-   path ([sharding = None]) is different machinery and is NOT compared
-   here; its 12 goldens pin it separately. *)
+   router, send seq) key at globally-agreed barriers.  The default
+   ([sharding = None]) is one shard; its 12 goldens live in
+   test_golden.ml. *)
 
 module Rng = Bgp_engine.Rng
 module Runner = Bgp_netsim.Runner
