@@ -11,18 +11,38 @@ let valley_free_allows ~peer_rel best =
     | None | Some Customer -> true
     | Some (Peer_link | Provider) -> peer_rel = Some Customer)
 
-let target ~paths ~config ~own_as ~peer_kind ~peer_as ?peer_rel ~best () =
-  match best with
-  | None -> None
+let base_path = function Rib.Local -> Path.empty | Rib.Learned e -> e.Rib.path
+
+type offer = {
+  paths : Path.table;
+  own_as : as_id;
+  best : Rib.best option;
+  mutable prepended : path;  (* [Path.absent] until an eBGP peer needs it *)
+}
+
+let offer ~paths ~own_as best = { paths; own_as; best; prepended = Path.absent }
+
+let path_for ~config offer ~peer_kind ~peer_as ?peer_rel () =
+  match offer.best with
+  | None -> Path.absent
   | Some best ->
-    if peer_kind = Ibgp && not (Rib.ibgp_exportable best) then None
-    else if peer_kind = Ebgp && not (valley_free_allows ~peer_rel best) then None
+    if peer_kind = Ibgp && not (Rib.ibgp_exportable best) then Path.absent
+    else if peer_kind = Ebgp && not (valley_free_allows ~peer_rel best) then Path.absent
     else
-      let base =
-        match best with Rib.Local -> Path.empty | Rib.Learned e -> e.Rib.path
-      in
       let path =
-        match peer_kind with Ebgp -> Path.cons paths own_as base | Ibgp -> base
+        match peer_kind with
+        | Ibgp -> base_path best
+        | Ebgp ->
+          if offer.prepended == Path.absent then
+            offer.prepended <- Path.cons offer.paths offer.own_as (base_path best);
+          offer.prepended
       in
-      if config.Config.sender_side_loop_check && path_contains path peer_as then None
-      else Some path
+      if config.Config.sender_side_loop_check && path_contains path peer_as then
+        Path.absent
+      else path
+
+let target ~paths ~config ~own_as ~peer_kind ~peer_as ?peer_rel ~best () =
+  let path =
+    path_for ~config (offer ~paths ~own_as best) ~peer_kind ~peer_as ?peer_rel ()
+  in
+  if path == Path.absent then None else Some path

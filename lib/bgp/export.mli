@@ -6,6 +6,28 @@
 
 open Types
 
+type offer
+(** One router's Loc-RIB selection for one destination, as offered to its
+    peers.  The eBGP form of the path (own AS prepended, one
+    [Path.cons]) is computed the first time an eBGP peer is offered the
+    route and reused for every later peer, so a route change pays for at
+    most one prepend however many peers it is exported to. *)
+
+val offer : paths:Path.table -> own_as:as_id -> Rib.best option -> offer
+(** [paths] is the run's interning table (the prepended hop is interned
+    there); [own_as] is the exporting router's AS. *)
+
+val path_for :
+  config:Config.t ->
+  offer ->
+  peer_kind:session_kind ->
+  peer_as:as_id ->
+  ?peer_rel:relationship ->
+  unit ->
+  path
+(** What the peer should currently hold, or [Path.absent] for nothing —
+    the allocation-free form of {!target}, with the same rules. *)
+
 val target :
   paths:Path.table ->
   config:Config.t ->

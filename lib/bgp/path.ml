@@ -7,26 +7,34 @@ type t = {
 
 let empty = { id = 0; hops = []; len = 0; bits = 0 }
 
+(* Length -1 makes [equal absent p] false for every real [p]. *)
+let absent = { id = -1; hops = []; len = -1; bits = 0 }
+
+module Memo = Bgp_engine.Int_table
+
 type table = {
-  memo : (int, t) Hashtbl.t;  (* key = tail id * 2^22 + head asn *)
+  memo : t Memo.t;  (* key = tail id * 2^22 + head asn *)
   mutable next_id : int;
   mutable hits : int;
 }
 
-let create_table () = { memo = Hashtbl.create 1024; next_id = 1; hits = 0 }
+let create_table () = { memo = Memo.create 1024; next_id = 1; hits = 0 }
 
 (* Memo keys pack (tail id, head asn) into one int, so the hot probe hashes
    an immediate instead of a tuple.  22 bits cover any AS number this
    simulator generates (destinations are AS ids); 41 bits of id space is
-   unreachable in practice. *)
+   unreachable in practice.  The table's hash mixes all key bits: taking
+   the bucket from the low bits alone would put every path with the same
+   head AS in one bucket. *)
 let asn_bits = 22
 let max_asn = (1 lsl asn_bits) - 1
 
 let cons tbl asn tail =
   if asn < 0 || asn > max_asn then invalid_arg "Path.cons: AS id out of range";
   let key = (tail.id lsl asn_bits) lor asn in
-  match Hashtbl.find_opt tbl.memo key with
-  | Some p ->
+  (* [find], not [find_opt]: a hit allocates nothing. *)
+  match Memo.find tbl.memo key with
+  | p ->
     (* The key only identifies [tail] within [tbl]; a tail interned
        elsewhere could collide on id, so confirm spine sharing. *)
     (match p.hops with
@@ -34,7 +42,7 @@ let cons tbl asn tail =
       tbl.hits <- tbl.hits + 1;
       p
     | _ -> invalid_arg "Path.cons: tail was interned in a different table")
-  | None ->
+  | exception Not_found ->
     let p =
       {
         id = tbl.next_id;
@@ -44,7 +52,7 @@ let cons tbl asn tail =
       }
     in
     tbl.next_id <- tbl.next_id + 1;
-    Hashtbl.replace tbl.memo key p;
+    Memo.replace tbl.memo key p;
     p
 
 let of_list tbl l = List.fold_right (fun asn acc -> cons tbl asn acc) l empty
@@ -88,7 +96,7 @@ type table_stats = {
    actual shared-spine cost, >= 1, higher = more tail sharing. *)
 let table_stats tbl =
   let word = Sys.word_size / 8 in
-  let hops_total = Hashtbl.fold (fun _ p acc -> acc + p.len) tbl.memo 0 in
+  let hops_total = Memo.fold (fun _ p acc -> acc + p.len) tbl.memo 0 in
   let nodes = unique_count tbl in
   let sharing =
     if nodes = 0 then 1.0 else float_of_int hops_total /. float_of_int nodes

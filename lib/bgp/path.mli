@@ -27,6 +27,12 @@ val create_table : unit -> table
 val empty : t
 (** The empty path; [length empty = 0]. *)
 
+val absent : t
+(** A sentinel that is not a path: distinct from every interned path and
+    from {!empty} (compare with [==]; {!equal} is [false] against any real
+    path).  Path-valued arrays use it to mark an empty slot.  Never
+    advertise it. *)
+
 val cons : table -> int -> t -> t
 (** [cons tbl asn p] is the path [asn :: hops p], interned in [tbl].
     O(1) amortised (one memo-table probe).  [p] must itself be interned

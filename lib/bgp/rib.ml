@@ -44,37 +44,92 @@ let rank = function
       (match kind with Ebgp -> 0 | Ibgp -> 1),
       peer )
 
-(* Adj-RIB-In slots carry the precomputed key alongside the entry. *)
-type slot = { entry : entry; key : int }
+(* Destination-indexed layout.  Every per-destination structure is an
+   array slot (grown on demand), so the update path does no hashing:
+
+     adj    one small vector per destination: the Adj-RIB-In entries with
+            their packed keys, in no particular order.  A key's low 31
+            bits are the peer id + 1, so finding a peer's entry scans ints
+            only.  [no_vec] until the destination's first [set_in].
+     loc    the Loc-RIB selection; [None] = no route.
+     local  one byte per destination, 1 = locally originated.
+
+   Entry counts are kept alongside, so [loc_size] and [in_entries] are
+   O(1). *)
+type vec = {
+  mutable len : int;
+  mutable keys : int array;
+  mutable entries : entry array;
+}
+
+let peer_tag = (1 lsl 31) - 1
+let no_entry = { peer = -1; kind = Ebgp; path = Path.empty; rel = None }
+
+(* Shared by every destination without a vector; never written. *)
+let no_vec = { len = 0; keys = [||]; entries = [||] }
 
 type t = {
   asn : as_id;
-  rib_in : (dest, (router_id, slot) Hashtbl.t) Hashtbl.t;
-  loc_rib : (dest, best) Hashtbl.t;
-  local : (dest, unit) Hashtbl.t;
+  mutable adj : vec array;
+  mutable loc : best option array;
+  mutable local : Bytes.t;
+  mutable in_count : int;
+  mutable loc_count : int;
 }
+
+let initial_dests = 16
 
 let create ~asn =
   {
     asn;
-    rib_in = Hashtbl.create 256;
-    loc_rib = Hashtbl.create 256;
-    local = Hashtbl.create 4;
+    adj = Array.make initial_dests no_vec;
+    loc = Array.make initial_dests None;
+    local = Bytes.make initial_dests '\000';
+    in_count = 0;
+    loc_count = 0;
   }
 
 let asn t = t.asn
 
-let in_table t dest =
-  match Hashtbl.find_opt t.rib_in dest with
-  | Some table -> table
-  | None ->
-    let table = Hashtbl.create 8 in
-    Hashtbl.replace t.rib_in dest table;
-    table
+(* Make [dest] a valid index of all three arrays. *)
+let ensure t dest =
+  if dest < 0 then invalid_arg "Rib: negative destination";
+  let cap = Array.length t.adj in
+  if dest >= cap then begin
+    let cap' = max (dest + 1) (2 * cap) in
+    let adj = Array.make cap' no_vec and loc = Array.make cap' None in
+    Array.blit t.adj 0 adj 0 cap;
+    Array.blit t.loc 0 loc 0 cap;
+    let local = Bytes.make cap' '\000' in
+    Bytes.blit t.local 0 local 0 cap;
+    t.adj <- adj;
+    t.loc <- loc;
+    t.local <- local
+  end
 
-let originate t dest = Hashtbl.replace t.local dest ()
-let unoriginate t dest = Hashtbl.remove t.local dest
-let originates t dest = Hashtbl.mem t.local dest
+let in_range t dest = dest >= 0 && dest < Array.length t.adj
+let vec_at t dest = if in_range t dest then t.adj.(dest) else no_vec
+let is_local t dest = in_range t dest && Bytes.get t.local dest <> '\000'
+
+let originate t dest =
+  ensure t dest;
+  Bytes.set t.local dest '\001'
+
+let unoriginate t dest = if in_range t dest then Bytes.set t.local dest '\000'
+
+(* Index of the entry tagged [tag] (peer id + 1) in [v], or -1. *)
+let find v tag =
+  let rec go i =
+    if i >= v.len then -1 else if v.keys.(i) land peer_tag = tag then i else go (i + 1)
+  in
+  go 0
+
+let remove_at v i =
+  let last = v.len - 1 in
+  v.keys.(i) <- v.keys.(last);
+  v.entries.(i) <- v.entries.(last);
+  v.entries.(last) <- no_entry;
+  v.len <- last
 
 let set_in t dest ~peer ~kind ?rel path =
   if path_contains path t.asn then
@@ -82,50 +137,89 @@ let set_in t dest ~peer ~kind ?rel path =
   let key =
     pack ~pref:(preference_of_relationship rel) ~len:(path_length path) ~kind ~peer
   in
-  Hashtbl.replace (in_table t dest) peer { entry = { peer; kind; path; rel }; key }
+  ensure t dest;
+  let v =
+    let v = t.adj.(dest) in
+    if v != no_vec then v
+    else begin
+      let v = { len = 0; keys = Array.make 2 0; entries = Array.make 2 no_entry } in
+      t.adj.(dest) <- v;
+      v
+    end
+  in
+  let entry = { peer; kind; path; rel } in
+  let i = find v (peer + 1) in
+  if i >= 0 then begin
+    v.keys.(i) <- key;
+    v.entries.(i) <- entry
+  end
+  else begin
+    let cap = Array.length v.keys in
+    if v.len = cap then begin
+      let keys = Array.make (2 * cap) 0 and entries = Array.make (2 * cap) no_entry in
+      Array.blit v.keys 0 keys 0 cap;
+      Array.blit v.entries 0 entries 0 cap;
+      v.keys <- keys;
+      v.entries <- entries
+    end;
+    v.keys.(v.len) <- key;
+    v.entries.(v.len) <- entry;
+    v.len <- v.len + 1;
+    t.in_count <- t.in_count + 1
+  end
 
 let withdraw_in t dest ~peer =
-  match Hashtbl.find_opt t.rib_in dest with
-  | None -> ()
-  | Some table -> Hashtbl.remove table peer
+  let v = vec_at t dest in
+  let i = find v (peer + 1) in
+  if i >= 0 then begin
+    remove_at v i;
+    t.in_count <- t.in_count - 1
+  end
 
 let drop_peer t ~peer =
-  Hashtbl.fold
-    (fun dest table acc ->
-      if Hashtbl.mem table peer then begin
-        Hashtbl.remove table peer;
-        dest :: acc
-      end
-      else acc)
-    t.rib_in []
+  let tag = peer + 1 in
+  let dropped = ref [] in
+  for dest = Array.length t.adj - 1 downto 0 do
+    let v = t.adj.(dest) in
+    let i = find v tag in
+    if i >= 0 then begin
+      remove_at v i;
+      t.in_count <- t.in_count - 1;
+      dropped := dest :: !dropped
+    end
+  done;
+  !dropped
 
 let entries_in t dest =
-  match Hashtbl.find_opt t.rib_in dest with
-  | None -> []
-  | Some table ->
-    let slots = Hashtbl.fold (fun _ s acc -> s :: acc) table [] in
-    List.map
-      (fun s -> s.entry)
-      (List.sort (fun a b -> Int.compare a.key b.key) slots)
+  let v = vec_at t dest in
+  List.init v.len (fun i -> (v.keys.(i), v.entries.(i)))
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
 
-(* One fold over the per-dest table; the running minimum is a plain int.
-   Keys are unique (the peer id is part of the key), so the minimum is
-   unambiguous and the fold order cannot matter. *)
+let best t dest = if in_range t dest then t.loc.(dest) else None
+
+let local_best = Some Local
+
+(* The entry with the minimum key.  Keys are unique (the peer id is part
+   of the key), so the minimum is unambiguous and the vector's order
+   cannot matter.  When the winner is the entry already selected, the
+   current Loc-RIB value is returned as is, so an unchanged decision
+   allocates nothing. *)
 let select t dest =
-  let best_key = ref max_int in
-  let best_slot = ref None in
-  (match Hashtbl.find_opt t.rib_in dest with
-  | None -> ()
-  | Some table ->
-    Hashtbl.iter
-      (fun _ s ->
-        if s.key < !best_key then begin
-          best_key := s.key;
-          best_slot := Some s
-        end)
-      table);
-  if Hashtbl.mem t.local dest then Some Local
-  else match !best_slot with None -> None | Some s -> Some (Learned s.entry)
+  if is_local t dest then local_best
+  else
+    let v = vec_at t dest in
+    if v.len = 0 then None
+    else begin
+      let bi = ref 0 in
+      for i = 1 to v.len - 1 do
+        if v.keys.(i) < v.keys.(!bi) then bi := i
+      done;
+      let e = v.entries.(!bi) in
+      match t.loc.(dest) with
+      | Some (Learned cur) as current when cur == e -> current
+      | _ -> Some (Learned e)
+    end
 
 let ibgp_exportable = function
   | Local -> true
@@ -148,14 +242,19 @@ let same_export before after =
     && ibgp_exportable (Learned a) = ibgp_exportable (Learned b)
 
 let decide t dest =
-  let before = Hashtbl.find_opt t.loc_rib dest in
+  let before = best t dest in
   let after = select t dest in
-  (match after with
-  | None -> Hashtbl.remove t.loc_rib dest
-  | Some b -> Hashtbl.replace t.loc_rib dest b);
-  not (same_export before after)
-
-let best t dest = Hashtbl.find_opt t.loc_rib dest
+  if after == before then false
+  else begin
+    (* [after] differs from [before], so one of them is a selection and
+       [dest] is in range. *)
+    t.loc.(dest) <- after;
+    (match (before, after) with
+    | None, Some _ -> t.loc_count <- t.loc_count + 1
+    | Some _, None -> t.loc_count <- t.loc_count - 1
+    | _ -> ());
+    not (same_export before after)
+  end
 
 let best_path t dest =
   match best t dest with
@@ -163,45 +262,35 @@ let best_path t dest =
   | Some Local -> Some Path.empty
   | Some (Learned e) -> Some e.path
 
-let loc_size t = Hashtbl.length t.loc_rib
-
-let in_entries t =
-  Hashtbl.fold (fun _ table acc -> acc + Hashtbl.length table) t.rib_in 0
+let loc_size t = t.loc_count
+let in_entries t = t.in_count
 
 (* Estimated resident size in bytes.  A fixed word model, not a heap
-   walk, so the number is deterministic (it depends only on entry
-   counts, never on hashing or GC state) and cheap to take mid-run:
-     adj-in entry   bucket cons (3) + slot (3) + entry (5) + rel (2)
-     per-dest table inner Hashtbl header/bucket floor (12) + outer cons (3)
-     loc-rib entry  bucket cons (3) + Learned box (2) + entry (5) + rel (2)
-   AS-path storage is shared through the hashcons table and accounted
-   there ([Path.table_stats]), not per RIB. *)
+   walk, so the number is deterministic (it depends only on entry and
+   slot counts, never on GC state) and cheap to take mid-run:
+     adj-in entry   key (1) + entry slot (1) + entry (5) + rel (2)
+     per-dest vec   record (4) + two array headers (2)
+     loc-rib entry  Some box (2) + Learned box (2); the entry is shared
+                    with the Adj-RIB-In
+     dest slot      adj and loc array slots (2) + local byte (1/8)
+     fixed          record (7) + three array headers (3)
+   Unused vector capacity is not counted.  AS-path storage is shared
+   through the hashcons table and accounted there ([Path.table_stats]),
+   not per RIB. *)
 let approx_bytes t =
   let word = Sys.word_size / 8 in
+  let slots = Array.length t.adj in
+  let vecs = Array.fold_left (fun n v -> if v != no_vec then n + 1 else n) 0 t.adj in
   let words =
-    (Hashtbl.length t.rib_in * 15)
-    + (in_entries t * 13)
-    + (Hashtbl.length t.loc_rib * 12)
-    + (Hashtbl.length t.local * 3)
-    + (3 * 12)
+    (t.in_count * 9) + (vecs * 6) + (t.loc_count * 4) + (slots * 2) + (slots / 8) + 10
   in
   words * word
 
-let num_dests t =
-  let seen = Hashtbl.create 256 in
-  Hashtbl.iter (fun dest _ -> Hashtbl.replace seen dest ()) t.rib_in;
-  Hashtbl.iter (fun dest _ -> Hashtbl.replace seen dest ()) t.loc_rib;
-  Hashtbl.iter (fun dest _ -> Hashtbl.replace seen dest ()) t.local;
-  Hashtbl.length seen
-
 let iter_dests t f =
-  let seen = Hashtbl.create 256 in
-  let visit dest _ =
-    if not (Hashtbl.mem seen dest) then begin
-      Hashtbl.replace seen dest ();
-      f dest
-    end
-  in
-  Hashtbl.iter visit t.rib_in;
-  Hashtbl.iter visit t.loc_rib;
-  Hashtbl.iter visit t.local
+  for dest = 0 to Array.length t.adj - 1 do
+    if
+      t.adj.(dest) != no_vec
+      || Option.is_some t.loc.(dest)
+      || Bytes.get t.local dest <> '\000'
+    then f dest
+  done

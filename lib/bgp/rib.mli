@@ -22,6 +22,10 @@ type best =
 type t
 
 val create : asn:as_id -> t
+(** An empty RIB.  Storage is indexed by destination and grows on demand
+    to the highest destination written; writes to a negative destination
+    raise [Invalid_argument], reads of one find nothing. *)
+
 val asn : t -> as_id
 
 val originate : t -> dest -> unit
@@ -32,8 +36,6 @@ val unoriginate : t -> dest -> unit
 (** Remove the locally-originated route (a churn workload withdrawing one
     of its own prefixes); no-op if absent.  Learned Adj-RIB-In entries
     for [dest] are untouched. *)
-
-val originates : t -> dest -> bool
 
 val set_in :
   t -> dest -> peer:router_id -> kind:session_kind -> ?rel:relationship -> path -> unit
@@ -48,7 +50,7 @@ val withdraw_in : t -> dest -> peer:router_id -> unit
 
 val drop_peer : t -> peer:router_id -> dest list
 (** Remove all entries learned from [peer] (session down); returns the
-    destinations that lost an entry. *)
+    destinations that lost an entry, in ascending order. *)
 
 val entries_in : t -> dest -> entry list
 (** Current Adj-RIB-In contents for a destination (sorted by rank). *)
@@ -69,27 +71,25 @@ val ibgp_exportable : best -> bool
 (** Standard full-mesh iBGP rule: only local and eBGP-learned routes are
     re-advertised to iBGP peers. *)
 
-val num_dests : t -> int
-(** Number of destinations with any Adj-RIB-In or Loc-RIB state, without
-    materialising the list. *)
-
 val iter_dests : t -> (dest -> unit) -> unit
-(** Visit each such destination once (unspecified order, no intermediate
-    list). *)
+(** Visit, once each and in ascending order, every destination that has
+    ever held an Adj-RIB-In entry, has a Loc-RIB selection, or is locally
+    originated.  A walk over the destination arrays: no intermediate list
+    or table. *)
 
 val loc_size : t -> int
 (** Destinations with a current Loc-RIB selection — the "RIB size" the
     telemetry probes sample.  O(1). *)
 
 val in_entries : t -> int
-(** Total Adj-RIB-In entries across all destinations and peers. *)
+(** Total Adj-RIB-In entries across all destinations and peers.  O(1). *)
 
 val approx_bytes : t -> int
 (** Estimated resident size of this RIB in bytes, from a fixed
-    words-per-entry model over the entry counts (deterministic: no heap
-    walk, no dependence on hashing or GC state).  Shared AS-path storage
-    is excluded — it is accounted once, at the hashcons table
-    ([Path.table_stats]). *)
+    words-per-entry model over the entry counts and the number of
+    destination slots (deterministic: no heap walk, no dependence on GC
+    state).  Shared AS-path storage is excluded — it is accounted once,
+    at the hashcons table ([Path.table_stats]). *)
 
 val rank : best -> int * int * int * int
 (** Reference ranking key (preference class, path length, eBGP-over-iBGP,

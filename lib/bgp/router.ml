@@ -5,6 +5,7 @@ module Dist = Bgp_engine.Dist
 module Mrai = Bgp_core.Mrai_controller
 module Iq = Bgp_core.Input_queue
 module Damping = Bgp_core.Damping
+module Int_table = Bgp_engine.Int_table
 
 type work = Update_msg of update | Peer_down_msg | Peer_up_msg
 
@@ -19,13 +20,20 @@ type peer_state = {
   mutable timer_running : bool;
   mutable timer_event : Sched.event_id option;
   (* Per-dest MRAI mode: destinations with a running timer. *)
-  dest_timers : (dest, Sched.event_id) Hashtbl.t;
-  (* Pending destinations, with (when last marked pending, trace cause id).
-     Both extras are ignored when tracing is off. *)
-  pending : (dest, float * int) Hashtbl.t;
-  advertised : (dest, path) Hashtbl.t;  (* Adj-RIB-Out *)
-  flaps : (dest, int) Hashtbl.t;
-      (* route changes since the last paced flush (Flap_threshold bypass) *)
+  dest_timers : Sched.event_id Int_table.t;
+  (* Adj-RIB-Out, indexed by destination; [Path.absent] = nothing
+     advertised.  Grown on demand, like [pending]. *)
+  mutable advertised : path array;
+  (* Destinations held back by the MRAI gate: one byte each, 1 = pending. *)
+  mutable pending : Bytes.t;
+  mutable pending_count : int;
+  (* When each pending destination was last marked pending, and the trace
+     id of the event that marked it.  Kept only when a tracer is
+     attached: the Mrai_flush trace event is their only reader. *)
+  ready : (float * int) Int_table.t;
+  flaps : int Int_table.t;
+      (* route changes since the last paced flush; counted only under the
+         Flap_threshold bypass, its only reader *)
 }
 
 type callbacks = {
@@ -55,7 +63,7 @@ type t = {
   paths : Path.table;  (* the run's shared AS-path interning table *)
   rib : Rib.t;
   input : work Iq.t;
-  peers : (router_id, peer_state) Hashtbl.t;
+  peers : peer_state Int_table.t;
   mutable peer_list : router_id list;  (* ascending, for deterministic iteration *)
   mutable peer_states : peer_state list;  (* same order as [peer_list] *)
   ebgp_controller : Mrai.t;
@@ -106,7 +114,7 @@ let create ~sched ~rng ~paths ~config ~id ~asn ~degree ?tracer cb =
     paths;
     rib = Rib.create ~asn;
     input = Iq.create config.Config.queue_discipline;
-    peers = Hashtbl.create 16;
+    peers = Int_table.create 16;
     peer_list = [];
     peer_states = [];
     ebgp_controller;
@@ -146,11 +154,11 @@ let queue_length t = Iq.length t.input
 let is_busy t = t.busy
 
 let add_peer t ~peer ~peer_as ~kind ?relationship () =
-  if Hashtbl.mem t.peers peer then invalid_arg "Router.add_peer: duplicate peer";
+  if Int_table.mem t.peers peer then invalid_arg "Router.add_peer: duplicate peer";
   let controller =
     match kind with Ebgp -> t.ebgp_controller | Ibgp -> t.ibgp_controller
   in
-  Hashtbl.replace t.peers peer
+  Int_table.replace t.peers peer
     {
       peer_id = peer;
       peer_as;
@@ -160,14 +168,16 @@ let add_peer t ~peer ~peer_as ~kind ?relationship () =
       up = true;
       timer_running = false;
       timer_event = None;
-      dest_timers = Hashtbl.create 8;
-      pending = Hashtbl.create 8;
-      advertised = Hashtbl.create 64;
-      flaps = Hashtbl.create 8;
+      dest_timers = Int_table.create 1;
+      advertised = [||];
+      pending = Bytes.empty;
+      pending_count = 0;
+      ready = Int_table.create 1;
+      flaps = Int_table.create 1;
     };
   t.peer_list <- List.merge Int.compare [ peer ] t.peer_list;
   t.peer_states <-
-    List.map (fun pid -> Hashtbl.find t.peers pid) t.peer_list
+    List.map (fun pid -> Int_table.find t.peers pid) t.peer_list
 
 (* --- Load window ------------------------------------------------------- *)
 
@@ -216,55 +226,116 @@ let effective_interval t peer =
   else if t.config.Config.mrai_jitter then base *. Rng.uniform t.rng ~lo:0.75 ~hi:1.0
   else base
 
+(* Per-peer destination arrays ([advertised], [pending]) grow together,
+   on the first write beyond their end; reads beyond it find nothing. *)
+let grow_peer peer dest =
+  let cap = Array.length peer.advertised in
+  if dest >= cap then begin
+    let cap' = max (dest + 1) (max 16 (2 * cap)) in
+    let advertised = Array.make cap' Path.absent in
+    Array.blit peer.advertised 0 advertised 0 cap;
+    peer.advertised <- advertised;
+    let pending = Bytes.make cap' '\000' in
+    Bytes.blit peer.pending 0 pending 0 cap;
+    peer.pending <- pending
+  end
+
+(* Adj-RIB-Out entry towards [peer], or [Path.absent]. *)
+let advertised peer dest =
+  if dest >= 0 && dest < Array.length peer.advertised then peer.advertised.(dest)
+  else Path.absent
+
+let set_advertised peer dest path =
+  grow_peer peer dest;
+  peer.advertised.(dest) <- path
+
 let send_advert t peer dest path =
   t.adverts_sent <- t.adverts_sent + 1;
-  Hashtbl.replace peer.advertised dest path;
+  set_advertised peer dest path;
   t.cb.send ~src:t.id ~dst:peer.peer_id (Advertise { dest; path });
   activity t
 
 let send_withdraw t peer dest =
   t.withdrawals_sent <- t.withdrawals_sent + 1;
-  Hashtbl.remove peer.advertised dest;
+  peer.advertised.(dest) <- Path.absent;
   t.cb.send ~src:t.id ~dst:peer.peer_id (Withdraw dest);
   activity t
 
-(* What should [peer] currently be told about [dest]?  [None] = nothing
-   (so a withdrawal if something was advertised before). *)
-let export_target t peer dest =
-  Export.target ~paths:t.paths ~config:t.config ~own_as:t.asn ~peer_kind:peer.kind
-    ~peer_as:peer.peer_as ?peer_rel:peer.peer_rel ~best:(Rib.best t.rib dest) ()
+(* What [t] currently offers its peers for [dest]. *)
+let offer t dest = Export.offer ~paths:t.paths ~own_as:t.asn (Rib.best t.rib dest)
+
+(* What should [peer] currently be told?  [Path.absent] = nothing (so a
+   withdrawal if something was advertised before). *)
+let export_target t peer offer =
+  Export.path_for ~config:t.config offer ~peer_kind:peer.kind ~peer_as:peer.peer_as
+    ?peer_rel:peer.peer_rel ()
 
 let timer_idle t peer dest =
   match t.config.Config.mrai_mode with
   | Config.Per_peer -> not peer.timer_running
-  | Config.Per_dest -> not (Hashtbl.mem peer.dest_timers dest)
+  | Config.Per_dest -> not (Int_table.mem peer.dest_timers dest)
 
-(* Flush one pending destination against the current Loc-RIB.  Returns
-   [true] if an MRAI-limited message (an advertisement, or any message
-   when mrai_on_withdrawals) was sent. *)
+(* Send [target] for one destination unless the peer already holds it.
+   Returns [true] if an MRAI-limited message (an advertisement, or any
+   message when mrai_on_withdrawals) was sent. *)
 let flush_target t peer dest target =
-  match (target, Hashtbl.find_opt peer.advertised dest) with
-  | None, None -> false
-  | Some path, Some advertised when path_equal path advertised -> false
-  | Some path, _ ->
-    send_advert t peer dest path;
+  let advertised = advertised peer dest in
+  (* Also true when both are [Path.absent]. *)
+  if path_equal target advertised then false
+  else if target != Path.absent then begin
+    send_advert t peer dest target;
     true
-  | None, Some _ ->
+  end
+  else begin
     send_withdraw t peer dest;
     t.config.Config.mrai_on_withdrawals
+  end
 
-let flush_dest t peer dest = flush_target t peer dest (export_target t peer dest)
+(* Flush one pending destination against the current Loc-RIB. *)
+let flush_dest t peer dest =
+  flush_target t peer dest (export_target t peer (offer t dest))
 
-(* Mark [dest] pending towards [peer], remembering when it became
-   MRAI-eligible and which event made it so (for the Mrai_flush trace
-   event recorded at timer expiry). *)
-let pend t peer dest = Hashtbl.replace peer.pending dest (Sched.now t.sched, t.cur_cause)
+let is_pending peer dest =
+  dest >= 0 && dest < Bytes.length peer.pending && Bytes.get peer.pending dest <> '\000'
 
-(* About to flush [dest] at timer expiry: record the Mrai_flush event and
-   make it the cause of the updates the flush emits. *)
-let set_flush_cause t peer dest ~ready ~cause =
+(* Mark [dest] pending towards [peer]; when traced, remember when it
+   became MRAI-eligible and which event made it so (for the Mrai_flush
+   trace event recorded at timer expiry). *)
+let pend t peer dest =
+  grow_peer peer dest;
+  if Bytes.get peer.pending dest = '\000' then begin
+    Bytes.set peer.pending dest '\001';
+    peer.pending_count <- peer.pending_count + 1
+  end;
+  if Option.is_some t.tracer then
+    Int_table.replace peer.ready dest (Sched.now t.sched, t.cur_cause)
+
+let unpend t peer dest =
+  if is_pending peer dest then begin
+    Bytes.set peer.pending dest '\000';
+    peer.pending_count <- peer.pending_count - 1;
+    if Option.is_some t.tracer then Int_table.remove peer.ready dest
+  end
+
+let clear_pending peer =
+  if peer.pending_count > 0 then begin
+    Bytes.fill peer.pending 0 (Bytes.length peer.pending) '\000';
+    peer.pending_count <- 0
+  end;
+  Int_table.reset peer.ready;
+  Int_table.reset peer.flaps
+
+(* The MRAI timer gating pending [dest] fired and it is about to be
+   flushed: take it out of the pending set and, when traced, record the
+   Mrai_flush event and make it the cause of the updates the flush
+   emits. *)
+let release t peer dest =
+  Bytes.set peer.pending dest '\000';
+  peer.pending_count <- peer.pending_count - 1;
   match t.tracer with
   | Some tr ->
+    let ready, cause = Int_table.find peer.ready dest in
+    Int_table.remove peer.ready dest;
     t.cur_cause <- tr.on_mrai_flush ~router:t.id ~peer:peer.peer_id ~dest ~ready ~cause
   | None -> ()
 
@@ -276,22 +347,23 @@ let rec start_timer t peer =
     peer.timer_event <- Some ev
   end
 
+(* Flush every pending destination, in ascending destination order. *)
 and on_peer_timer t peer =
   peer.timer_running <- false;
   peer.timer_event <- None;
   if (not t.failed) && peer.up then begin
-    let dests = Hashtbl.fold (fun d rc acc -> (d, rc) :: acc) peer.pending [] in
-    let dests = List.sort (fun (a, _) (b, _) -> Int.compare a b) dests in
-    Hashtbl.reset peer.pending;
-    Hashtbl.reset peer.flaps;
-    let sent =
-      List.fold_left
-        (fun acc (d, (ready, cause)) ->
-          set_flush_cause t peer d ~ready ~cause;
-          if flush_dest t peer d then true else acc)
-        false dests
-    in
-    if sent then start_timer t peer
+    Int_table.reset peer.flaps;
+    let sent = ref false in
+    let dest = ref 0 in
+    while peer.pending_count > 0 do
+      let d = !dest in
+      if Bytes.get peer.pending d <> '\000' then begin
+        release t peer d;
+        if flush_dest t peer d then sent := true
+      end;
+      dest := d + 1
+    done;
+    if !sent then start_timer t peer
   end
 
 let rec start_dest_timer t peer dest =
@@ -300,19 +372,16 @@ let rec start_dest_timer t peer dest =
     let ev =
       Sched.schedule t.sched ~delay:interval (fun () -> on_dest_timer t peer dest)
     in
-    Hashtbl.replace peer.dest_timers dest ev
+    Int_table.replace peer.dest_timers dest ev
   end
 
 and on_dest_timer t peer dest =
-  Hashtbl.remove peer.dest_timers dest;
-  if (not t.failed) && peer.up then
-    match Hashtbl.find_opt peer.pending dest with
-    | None -> ()
-    | Some (ready, cause) ->
-      Hashtbl.remove peer.pending dest;
-      Hashtbl.remove peer.flaps dest;
-      set_flush_cause t peer dest ~ready ~cause;
-      if flush_dest t peer dest then start_dest_timer t peer dest
+  Int_table.remove peer.dest_timers dest;
+  if (not t.failed) && peer.up && is_pending peer dest then begin
+    release t peer dest;
+    Int_table.remove peer.flaps dest;
+    if flush_dest t peer dest then start_dest_timer t peer dest
+  end
 
 let after_send t peer dest =
   match t.config.Config.mrai_mode with
@@ -331,73 +400,69 @@ let cancel_gate_timer t peer dest =
       peer.timer_running <- false
     | None -> ())
   | Config.Per_dest -> (
-    match Hashtbl.find_opt peer.dest_timers dest with
+    match Int_table.find_opt peer.dest_timers dest with
     | Some ev ->
       Sched.cancel t.sched ev;
-      Hashtbl.remove peer.dest_timers dest
+      Int_table.remove peer.dest_timers dest
     | None -> ())
 
 (* Deshpande-Sikdar method 1: is the new export strictly better than what
    the peer currently holds? *)
-let is_improvement peer dest path =
-  match Hashtbl.find_opt peer.advertised dest with
-  | None -> true
-  | Some advertised -> path_length path < path_length advertised
+let is_improvement ~advertised path =
+  advertised == Path.absent || path_length path < path_length advertised
 
 let bump_flaps peer dest =
-  let count = 1 + Option.value ~default:0 (Hashtbl.find_opt peer.flaps dest) in
-  Hashtbl.replace peer.flaps dest count;
+  let count = 1 + Option.value ~default:0 (Int_table.find_opt peer.flaps dest) in
+  Int_table.replace peer.flaps dest count;
   count
 
 (* A route change for [dest] happened: decide what (if anything) to tell
    [peer], applying the MRAI gate (and any configured bypass). *)
-let schedule_export t peer dest =
-  if peer.up then
-    let target = export_target t peer dest in
-    match (target, Hashtbl.find_opt peer.advertised dest) with
-    | None, None -> Hashtbl.remove peer.pending dest
-    | Some path, Some advertised when path_equal path advertised ->
-      Hashtbl.remove peer.pending dest
-    | Some path, _ ->
+let schedule_export t peer dest offer =
+  if peer.up then begin
+    let target = export_target t peer offer in
+    let advertised = advertised peer dest in
+    (* Nothing to tell: also true when both are [Path.absent]. *)
+    if path_equal target advertised then unpend t peer dest
+    else if target != Path.absent then begin
       if timer_idle t peer dest then begin
         ignore (flush_target t peer dest target);
         after_send t peer dest
       end
-      else begin
-        let flap_count = bump_flaps peer dest in
+      else
         match t.config.Config.mrai_bypass with
         | Config.No_bypass -> pend t peer dest
         | Config.Cancel_on_improvement ->
-          if is_improvement peer dest path then begin
+          if is_improvement ~advertised target then begin
             cancel_gate_timer t peer dest;
-            Hashtbl.remove peer.pending dest;
+            unpend t peer dest;
             ignore (flush_target t peer dest target);
             after_send t peer dest
           end
           else pend t peer dest
         | Config.Flap_threshold k ->
-          if flap_count < k then begin
+          if bump_flaps peer dest < k then begin
             (* Below the flap threshold the MRAI is not applied to this
                destination: the update goes out immediately and the gate
                timer is left untouched. *)
-            Hashtbl.remove peer.pending dest;
+            unpend t peer dest;
             ignore (flush_target t peer dest target)
           end
           else pend t peer dest
+    end
+    else if t.config.Config.mrai_on_withdrawals then begin
+      if timer_idle t peer dest then begin
+        ignore (flush_target t peer dest target);
+        after_send t peer dest
       end
-    | None, Some _ ->
-      if t.config.Config.mrai_on_withdrawals then begin
-        if timer_idle t peer dest then begin
-          ignore (flush_target t peer dest target);
-          after_send t peer dest
-        end
-        else pend t peer dest
-      end
-      else begin
-        (* RFC behaviour: withdrawals are not rate-limited. *)
-        Hashtbl.remove peer.pending dest;
-        send_withdraw t peer dest
-      end
+      else pend t peer dest
+    end
+    else begin
+      (* RFC behaviour: withdrawals are not rate-limited. *)
+      unpend t peer dest;
+      send_withdraw t peer dest
+    end
+  end
 
 (* Paper Section 5 "future work": apply a dynamic level change to running
    timers immediately (re-armed with the new interval from now) instead of
@@ -423,14 +488,14 @@ let rearm_running_timers t =
             | Config.Per_dest ->
               let dests =
                 List.sort Int.compare
-                  (Hashtbl.fold (fun d _ acc -> d :: acc) peer.dest_timers [])
+                  (Int_table.fold (fun d _ acc -> d :: acc) peer.dest_timers [])
               in
               List.iter
                 (fun d ->
-                  (match Hashtbl.find_opt peer.dest_timers d with
+                  (match Int_table.find_opt peer.dest_timers d with
                   | Some ev -> Sched.cancel t.sched ev
                   | None -> ());
-                  Hashtbl.remove peer.dest_timers d;
+                  Int_table.remove peer.dest_timers d;
                   start_dest_timer t peer d)
                 dests)
         t.peer_states
@@ -443,7 +508,8 @@ let reconsider t dest =
     | Some f -> f dest (Sched.now t.sched)
     | None -> ());
     activity t;
-    List.iter (fun peer -> schedule_export t peer dest) t.peer_states
+    let offer = offer t dest in
+    List.iter (fun peer -> schedule_export t peer dest offer) t.peer_states
   end
 
 (* --- Flap damping (RFC 2439) -------------------------------------------- *)
@@ -459,7 +525,7 @@ let rec schedule_reuse_check t damping ~src ~dest =
     ignore
       (Sched.schedule t.sched ~delay (fun () ->
            if not t.failed then
-             match Hashtbl.find_opt t.peers src with
+             match Int_table.find_opt t.peers src with
              | Some peer when peer.up ->
                if Damping.is_suppressed damping ~peer:src ~dest ~now:(Sched.now t.sched)
                then schedule_reuse_check t damping ~src ~dest
@@ -508,9 +574,10 @@ let apply_update_with_damping t damping peer ~src update =
 let handle_work t (item : work Iq.item) =
   match item.payload with
   | Update_msg update -> (
-    match Hashtbl.find_opt t.peers item.src with
-    | None -> ()
-    | Some peer ->
+    (* [find], not [find_opt]: no option is allocated per update. *)
+    match Int_table.find t.peers item.src with
+    | exception Not_found -> ()
+    | peer ->
       if peer.up then begin
         (match t.damping with
         | Some damping -> apply_update_with_damping t damping peer ~src:item.src update
@@ -536,10 +603,9 @@ let handle_work t (item : work Iq.item) =
         t.parked []
     in
     List.iter (Hashtbl.remove t.parked) stale;
-    let affected = Rib.drop_peer t.rib ~peer:item.src in
-    List.iter (reconsider t) (List.sort Int.compare affected)
+    List.iter (reconsider t) (Rib.drop_peer t.rib ~peer:item.src)
   | Peer_up_msg -> (
-    match Hashtbl.find_opt t.peers item.src with
+    match Int_table.find_opt t.peers item.src with
     | None -> ()
     | Some peer ->
       if peer.up then begin
@@ -555,11 +621,8 @@ let handle_work t (item : work Iq.item) =
             t.parked []
         in
         List.iter (Hashtbl.remove t.parked) stale;
-        let affected = Rib.drop_peer t.rib ~peer:item.src in
-        List.iter (reconsider t) (List.sort Int.compare affected);
-        let dests = ref [] in
-        Rib.iter_dests t.rib (fun d -> dests := d :: !dests);
-        List.iter (fun d -> schedule_export t peer d) (List.sort Int.compare !dests)
+        List.iter (reconsider t) (Rib.drop_peer t.rib ~peer:item.src);
+        Rib.iter_dests t.rib (fun d -> schedule_export t peer d (offer t d))
       end)
 
 let rec begin_next t =
@@ -616,25 +679,24 @@ let cancel_peer_timers t peer =
     peer.timer_event <- None;
     peer.timer_running <- false
   | None -> ());
-  Hashtbl.iter (fun _ ev -> Sched.cancel t.sched ev) peer.dest_timers;
-  Hashtbl.reset peer.dest_timers
+  Int_table.iter (fun _ ev -> Sched.cancel t.sched ev) peer.dest_timers;
+  Int_table.reset peer.dest_timers
 
 let peer_down t ?cause peer_id =
   if not t.failed then
-    match Hashtbl.find_opt t.peers peer_id with
+    match Int_table.find_opt t.peers peer_id with
     | None -> ()
     | Some peer ->
       if peer.up then begin
         peer.up <- false;
         cancel_peer_timers t peer;
-        Hashtbl.reset peer.pending;
-        Hashtbl.reset peer.flaps;
+        clear_pending peer;
         enqueue t ?cause ~src:peer_id ~dest:(-1) Peer_down_msg
       end
 
 let peer_up t ?cause peer_id =
   if not t.failed then
-    match Hashtbl.find_opt t.peers peer_id with
+    match Int_table.find_opt t.peers peer_id with
     | None -> ()
     | Some peer ->
       if not peer.up then begin
@@ -642,9 +704,8 @@ let peer_up t ?cause peer_id =
         (* Forget the Adj-RIB-Out now: the peer lost everything we ever
            sent when its side processed the session drop, so the re-sync
            (the queued [Peer_up_msg]) must re-advertise from scratch. *)
-        Hashtbl.reset peer.advertised;
-        Hashtbl.reset peer.pending;
-        Hashtbl.reset peer.flaps;
+        Array.fill peer.advertised 0 (Array.length peer.advertised) Path.absent;
+        clear_pending peer;
         enqueue t ?cause ~src:peer_id ~dest:(-1) Peer_up_msg
       end
 
@@ -682,22 +743,24 @@ let warm_install t ~dest ~local ~entries ~advertised =
   ignore (Rib.decide t.rib dest);
   List.iter
     (fun (peer_id, path) ->
-      match Hashtbl.find_opt t.peers peer_id with
-      | Some peer -> Hashtbl.replace peer.advertised dest path
+      match Int_table.find_opt t.peers peer_id with
+      | Some peer -> set_advertised peer dest path
       | None -> invalid_arg "Router.warm_install: unknown peer")
     advertised
 
 let advertised_to t ~peer dest =
-  match Hashtbl.find_opt t.peers peer with
+  match Int_table.find_opt t.peers peer with
   | None -> None
-  | Some p -> Hashtbl.find_opt p.advertised dest
+  | Some p ->
+    let path = advertised p dest in
+    if path == Path.absent then None else Some path
 
 let fail t =
   if not t.failed then begin
     t.failed <- true;
     t.busy <- false;
     Iq.clear t.input;
-    Hashtbl.iter (fun _ peer -> cancel_peer_timers t peer) t.peers
+    List.iter (cancel_peer_timers t) t.peer_states
   end
 
 (* --- Inspection --------------------------------------------------------- *)

@@ -12,10 +12,13 @@ let discipline_name = function
 
 type 'a item = { src : int; dest : int; payload : 'a; cause : int; enqueued : float }
 
+module Int_table = Bgp_engine.Int_table
+
 (* All disciplines are built on doubly-linked cells so that stale-update
    elimination is O(1) once the cell is found via the (src, dest) index. *)
 type 'a cell = {
   item : 'a item;
+  batch : int;  (* arrival batch id: 0 except under Tcp_batch *)
   mutable prev : 'a cell option;
   mutable next : 'a cell option;
   mutable dead : bool;
@@ -29,10 +32,11 @@ type 'a dlist = {
 
 let dlist_create () = { first = None; last = None; count = 0 }
 
-let dlist_append l item =
-  let cell = { item; prev = l.last; next = None; dead = false } in
-  (match l.last with None -> l.first <- Some cell | Some tail -> tail.next <- Some cell);
-  l.last <- Some cell;
+let dlist_append l item ~batch =
+  let cell = { item; batch; prev = l.last; next = None; dead = false } in
+  let link = Some cell in
+  (match l.last with None -> l.first <- link | Some tail -> tail.next <- link);
+  l.last <- link;
   l.count <- l.count + 1;
   cell
 
@@ -57,14 +61,13 @@ type 'a t = {
      Batched: one list per destination plus the order in which
      destinations became pending. *)
   fifo : 'a dlist;
-  per_dest : (int, 'a dlist) Hashtbl.t;
+  per_dest : 'a dlist Int_table.t;
   dest_order : int Queue.t;
-  (* (src, dest) -> (live cell, arrival batch id), for stale elimination.
-     The batch id is 0 except under Tcp_batch. *)
-  index : (int * int, 'a cell * int) Hashtbl.t;
+  (* [index_key src dest] -> live cell, for stale elimination. *)
+  index : 'a cell Int_table.t;
   (* Tcp_batch: current batch id and fill level per source. *)
-  batch_of_src : (int, int) Hashtbl.t;
-  fill_of_src : (int, int) Hashtbl.t;
+  batch_of_src : int Int_table.t;
+  fill_of_src : int Int_table.t;
   mutable total : int;
   mutable eliminated : int;
   mutable max_length : int;
@@ -74,11 +77,11 @@ let create discipline =
   {
     discipline;
     fifo = dlist_create ();
-    per_dest = Hashtbl.create 64;
+    per_dest = Int_table.create 64;
     dest_order = Queue.create ();
-    index = Hashtbl.create 64;
-    batch_of_src = Hashtbl.create 8;
-    fill_of_src = Hashtbl.create 8;
+    index = Int_table.create 64;
+    batch_of_src = Int_table.create 8;
+    fill_of_src = Int_table.create 8;
     total = 0;
     eliminated = 0;
     max_length = 0;
@@ -90,25 +93,33 @@ let is_empty t = t.total = 0
 let eliminated t = t.eliminated
 let max_length t = t.max_length
 
+(* The (src, dest) pair packed into one int: src in the high bits, dest in
+   the low 32 (dest is -1 for session work items).  Injective while
+   0 <= src < 2^30 and -1 <= dest < 2^32 - 1. *)
+let index_key src dest = (src lsl 32) lor (dest land 0xFFFF_FFFF)
+
+(* Does this discipline eliminate stale updates (and so keep the index)? *)
+let indexed t =
+  match t.discipline with Fifo -> false | Batched | Fifo_dedup | Tcp_batch _ -> true
+
 (* The arrival batch this push belongs to (advancing the per-source fill
    counter under Tcp_batch; always 0 otherwise). *)
 let arrival_batch t src =
   match t.discipline with
   | Fifo | Fifo_dedup | Batched -> 0
   | Tcp_batch { batch_size } ->
-    let batch = Option.value ~default:0 (Hashtbl.find_opt t.batch_of_src src) in
-    let fill = 1 + Option.value ~default:0 (Hashtbl.find_opt t.fill_of_src src) in
+    let batch = Option.value ~default:0 (Int_table.find_opt t.batch_of_src src) in
+    let fill = 1 + Option.value ~default:0 (Int_table.find_opt t.fill_of_src src) in
     if fill >= batch_size then begin
-      Hashtbl.replace t.batch_of_src src (batch + 1);
-      Hashtbl.replace t.fill_of_src src 0
+      Int_table.replace t.batch_of_src src (batch + 1);
+      Int_table.replace t.fill_of_src src 0
     end
-    else Hashtbl.replace t.fill_of_src src fill;
+    else Int_table.replace t.fill_of_src src fill;
     batch
 
-let eliminate_stale t (item : 'a item) ~batch =
-  let key = (item.src, item.dest) in
-  match Hashtbl.find_opt t.index key with
-  | Some (cell, cell_batch) when not cell.dead -> (
+let eliminate_stale t (item : 'a item) ~key ~batch =
+  match Int_table.find_opt t.index key with
+  | Some cell when not cell.dead -> (
     match t.discipline with
     | Fifo -> ()
     | Fifo_dedup ->
@@ -117,13 +128,13 @@ let eliminate_stale t (item : 'a item) ~batch =
       t.eliminated <- t.eliminated + 1
     | Tcp_batch _ ->
       (* Only updates landing in the same TCP read coalesce. *)
-      if cell_batch = batch then begin
+      if cell.batch = batch then begin
         dlist_remove t.fifo cell;
         t.total <- t.total - 1;
         t.eliminated <- t.eliminated + 1
       end
     | Batched -> (
-      match Hashtbl.find_opt t.per_dest item.dest with
+      match Int_table.find_opt t.per_dest item.dest with
       | Some l ->
         dlist_remove l cell;
         t.total <- t.total - 1;
@@ -133,23 +144,24 @@ let eliminate_stale t (item : 'a item) ~batch =
 
 let push t item =
   let batch = arrival_batch t item.src in
-  if t.discipline <> Fifo then eliminate_stale t item ~batch;
+  let key = index_key item.src item.dest in
+  if indexed t then eliminate_stale t item ~key ~batch;
   let cell =
     match t.discipline with
-    | Fifo | Fifo_dedup | Tcp_batch _ -> dlist_append t.fifo item
+    | Fifo | Fifo_dedup | Tcp_batch _ -> dlist_append t.fifo item ~batch
     | Batched ->
       let l =
-        match Hashtbl.find_opt t.per_dest item.dest with
+        match Int_table.find_opt t.per_dest item.dest with
         | Some l -> l
         | None ->
           let l = dlist_create () in
-          Hashtbl.replace t.per_dest item.dest l;
+          Int_table.replace t.per_dest item.dest l;
           l
       in
       if l.count = 0 then Queue.add item.dest t.dest_order;
-      dlist_append l item
+      dlist_append l item ~batch
   in
-  if t.discipline <> Fifo then Hashtbl.replace t.index (item.src, item.dest) (cell, batch);
+  if indexed t then Int_table.replace t.index key cell;
   t.total <- t.total + 1;
   if t.total > t.max_length then t.max_length <- t.total
 
@@ -157,7 +169,7 @@ let rec pop_batched t =
   match Queue.peek_opt t.dest_order with
   | None -> None
   | Some dest -> (
-    let l = Hashtbl.find t.per_dest dest in
+    let l = Int_table.find t.per_dest dest in
     match dlist_pop l with
     | Some item ->
       if l.count = 0 then ignore (Queue.pop t.dest_order);
@@ -176,11 +188,11 @@ let pop t =
   (match result with
   | Some item ->
     t.total <- t.total - 1;
-    if t.discipline <> Fifo then begin
+    if indexed t then begin
       (* Drop the index entry if it still points at this message. *)
-      let key = (item.src, item.dest) in
-      match Hashtbl.find_opt t.index key with
-      | Some (cell, _) when cell.dead -> Hashtbl.remove t.index key
+      let key = index_key item.src item.dest in
+      match Int_table.find_opt t.index key with
+      | Some cell when cell.dead -> Int_table.remove t.index key
       | _ -> ()
     end
   | None -> ());
@@ -190,9 +202,9 @@ let clear t =
   t.fifo.first <- None;
   t.fifo.last <- None;
   t.fifo.count <- 0;
-  Hashtbl.reset t.per_dest;
+  Int_table.reset t.per_dest;
   Queue.clear t.dest_order;
-  Hashtbl.reset t.index;
-  Hashtbl.reset t.batch_of_src;
-  Hashtbl.reset t.fill_of_src;
+  Int_table.reset t.index;
+  Int_table.reset t.batch_of_src;
+  Int_table.reset t.fill_of_src;
   t.total <- 0

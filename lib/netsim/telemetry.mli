@@ -70,7 +70,10 @@ type shard_memory = {
   shard : int;
   routers : int;
   rib_entries : int;  (** Adj-RIB-In entries across the shard's routers *)
-  rib_bytes : int;  (** estimated, from [Rib.approx_bytes]'s word model *)
+  rib_bytes : int;
+      (** estimated from [Rib.approx_bytes]'s word model: Adj-RIB-In
+          entries and per-destination vectors, Loc-RIB selections and
+          destination slots (the routers' Adj-RIB-Out is not counted) *)
   path_nodes : int;  (** interned path nodes in the shard's hashcons table *)
   path_bytes : int;
   sched_max_live : int;  (** event-slab occupancy high-water *)
@@ -90,7 +93,7 @@ type memory = {
   trace_spilled : int;
 }
 (** Every field is an estimate computed from simulated state alone (fixed
-    word models, entry counts) — deterministic for a given run, hence safe
+    word models over entry and slot counts) — deterministic for a given run, hence safe
     inside the structurally-compared {!report}.  Wall-clock and GC data
     live in [Bgp_engine.Profile], never here. *)
 

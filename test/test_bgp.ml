@@ -10,6 +10,7 @@ module Router = Bgp_proto.Router
 module Mrai = Bgp_core.Mrai_controller
 
 module Path = Bgp_proto.Path
+module Export = Bgp_proto.Export
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -196,6 +197,146 @@ let prop_packed_rank_isomorphic =
     (fun (a, b) ->
       Stdlib.compare (Rib.rank a) (Rib.rank b)
       = Int.compare (Rib.packed_rank a) (Rib.packed_rank b))
+
+(* Model check for the destination-indexed RIB: random operation sequences
+   against an association-list reference that ranks with the tuple
+   [Rib.rank] and stores every table as a list.  Peer ids run past 64 and
+   destinations past the arrays' initial capacity, so vector growth, array
+   growth and the peer tag packed into each key are all exercised. *)
+type rib_op =
+  | Originate of int
+  | Unoriginate of int
+  | Set_in of int * int * Types.session_kind * Types.relationship option * int list
+  | Withdraw_in of int * int
+  | Drop_peer of int
+  | Decide of int
+
+let model_dests = [ 0; 3; 15; 16; 17; 40; 129; 700 ]
+let model_peers = [ 1; 2; 63; 64; 65; 90; 1000 ]
+
+let pp_rib_op = function
+  | Originate d -> Printf.sprintf "originate %d" d
+  | Unoriginate d -> Printf.sprintf "unoriginate %d" d
+  | Set_in (d, peer, kind, rel, hops) ->
+    Fmt.str "set_in %d peer %d %a rel %a [%s]" d peer Types.pp_session_kind kind
+      Fmt.(option ~none:(any "none") Types.pp_relationship)
+      rel
+      (String.concat " " (List.map string_of_int hops))
+  | Withdraw_in (d, peer) -> Printf.sprintf "withdraw_in %d peer %d" d peer
+  | Drop_peer peer -> Printf.sprintf "drop_peer %d" peer
+  | Decide d -> Printf.sprintf "decide %d" d
+
+let rib_op_gen =
+  let open QCheck.Gen in
+  let dest = oneofl model_dests and peer = oneofl model_peers in
+  let kind = map (fun b -> if b then Types.Ebgp else Types.Ibgp) bool in
+  let rel =
+    oneofl [ None; Some Types.Customer; Some Types.Peer_link; Some Types.Provider ]
+  in
+  frequency
+    [
+      (1, map (fun d -> Originate d) dest);
+      (1, map (fun d -> Unoriginate d) dest);
+      ( 6,
+        map3
+          (fun (d, peer) (kind, rel) hops -> Set_in (d, peer, kind, rel, hops))
+          (pair dest peer) (pair kind rel)
+          (list_size (0 -- 4) (100 -- 110)) );
+      (3, map2 (fun d peer -> Withdraw_in (d, peer)) dest peer);
+      (1, map (fun peer -> Drop_peer peer) peer);
+      (5, map (fun d -> Decide d) dest);
+    ]
+
+type rib_model = {
+  mutable m_local : int list;
+  mutable m_adj : ((int * int) * Rib.entry) list;  (* (dest, peer) -> entry *)
+  mutable m_loc : (int * Rib.best) list;
+  mutable m_touched : int list;  (* destinations that ever had an entry *)
+}
+
+let model_entries m d =
+  List.filter_map (fun ((d', _), e) -> if d' = d then Some e else None) m.m_adj
+  |> List.sort (fun a b -> compare (Rib.rank (Rib.Learned a)) (Rib.rank (Rib.Learned b)))
+
+let model_select m d =
+  if List.mem d m.m_local then Some Rib.Local
+  else match model_entries m d with [] -> None | e :: _ -> Some (Rib.Learned e)
+
+(* What a selection exports: its path, and whether iBGP peers get it. *)
+let export_identity = function
+  | None -> None
+  | Some Rib.Local -> Some ([], true)
+  | Some (Rib.Learned e) -> Some (Path.hops e.Rib.path, e.Rib.kind = Types.Ebgp)
+
+let same_entry (a : Rib.entry) (b : Rib.entry) =
+  a.peer = b.peer && a.kind = b.kind && a.rel = b.rel && Path.equal a.path b.path
+
+let same_best a b =
+  match (a, b) with
+  | None, None | Some Rib.Local, Some Rib.Local -> true
+  | Some (Rib.Learned x), Some (Rib.Learned y) -> same_entry x y
+  | _ -> false
+
+let prop_rib_matches_model =
+  QCheck.Test.make ~name:"RIB matches an association-list model" ~count:400
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_rib_op ops))
+       QCheck.Gen.(list_size (1 -- 80) rib_op_gen))
+    (fun ops ->
+      let rib = Rib.create ~asn:7 in
+      let m = { m_local = []; m_adj = []; m_loc = []; m_touched = [] } in
+      let step op =
+        match op with
+        | Originate d ->
+          Rib.originate rib d;
+          if not (List.mem d m.m_local) then m.m_local <- d :: m.m_local;
+          true
+        | Unoriginate d ->
+          Rib.unoriginate rib d;
+          m.m_local <- List.filter (( <> ) d) m.m_local;
+          true
+        | Set_in (d, peer, kind, rel, hops) ->
+          let path = p hops in
+          Rib.set_in rib d ~peer ~kind ?rel path;
+          m.m_adj <-
+            ((d, peer), { Rib.peer; kind; path; rel }) :: List.remove_assoc (d, peer) m.m_adj;
+          if not (List.mem d m.m_touched) then m.m_touched <- d :: m.m_touched;
+          true
+        | Withdraw_in (d, peer) ->
+          Rib.withdraw_in rib d ~peer;
+          m.m_adj <- List.remove_assoc (d, peer) m.m_adj;
+          true
+        | Drop_peer peer ->
+          let expected =
+            List.filter_map (fun ((d, q), _) -> if q = peer then Some d else None) m.m_adj
+            |> List.sort_uniq Int.compare
+          in
+          m.m_adj <- List.filter (fun ((_, q), _) -> q <> peer) m.m_adj;
+          Rib.drop_peer rib ~peer = expected
+        | Decide d ->
+          let before = List.assoc_opt d m.m_loc in
+          let after = model_select m d in
+          m.m_loc <-
+            (match after with
+            | None -> List.remove_assoc d m.m_loc
+            | Some b -> (d, b) :: List.remove_assoc d m.m_loc);
+          Rib.decide rib d = (export_identity before <> export_identity after)
+      in
+      let consistent () =
+        List.for_all
+          (fun d ->
+            same_best (Rib.best rib d) (List.assoc_opt d m.m_loc)
+            && List.equal same_entry (Rib.entries_in rib d) (model_entries m d))
+          model_dests
+        && Rib.loc_size rib = List.length m.m_loc
+        && Rib.in_entries rib = List.length m.m_adj
+        &&
+        let visited = ref [] in
+        Rib.iter_dests rib (fun d -> visited := d :: !visited);
+        List.rev !visited
+        = List.sort_uniq Int.compare (m.m_local @ m.m_touched @ List.map fst m.m_loc)
+      in
+      List.for_all (fun op -> step op && consistent ()) ops)
 
 (* --- Router harness ---------------------------------------------------------- *)
 
@@ -569,6 +710,61 @@ let test_router_damping_clean_routes_unaffected () =
     (Some (p [ 1; 9 ]))
     (Router.best_path_to fx.router 9)
 
+(* A session reset re-syncs the Adj-RIB-Out from scratch: once the
+   network is quiet again, what the router holds as advertised to each
+   peer is exactly the current export of its Loc-RIB, for every
+   destination, and the peer's view rebuilt from the messages sent since
+   the session came back agrees with it.  Routes change while the session
+   is down, and some destinations lie past the per-peer arrays' initial
+   capacity. *)
+let check_resync mode () =
+  let config = { no_jitter with Config.mrai_mode = mode } in
+  let peers = [ (1, 1, Types.Ebgp); (2, 2, Types.Ebgp); (3, 3, Types.Ebgp) ] in
+  let fx = make_fixture ~config ~peers () in
+  let dests = [ 0; 5; 9; 40; 70 ] in
+  Router.start fx.router;
+  Sched.run fx.sched;
+  Router.receive fx.router ~src:1 (adv 9 [ 1; 9 ]);
+  Router.receive fx.router ~src:2 (adv 9 [ 2; 5; 9 ]);
+  Router.receive fx.router ~src:1 (adv 40 [ 1; 40 ]);
+  Router.receive fx.router ~src:2 (adv 70 [ 2; 70 ]);
+  Router.receive fx.router ~src:3 (adv 70 [ 3; 4; 70 ]);
+  Sched.run fx.sched;
+  Router.peer_down fx.router 2;
+  Sched.run ~until:(Sched.now fx.sched +. 1.0) fx.sched;
+  Router.receive fx.router ~src:1 (Types.Withdraw 40);
+  Router.receive fx.router ~src:3 (adv 5 [ 3; 5 ]);
+  Sched.run ~until:(Sched.now fx.sched +. 1.0) fx.sched;
+  fx.sent := [];
+  Router.peer_up fx.router 2;
+  Sched.run fx.sched;
+  let view = Hashtbl.create 8 in
+  List.iter
+    (fun (dst, u) ->
+      if dst = 2 then
+        match u with
+        | Types.Advertise { dest; path } -> Hashtbl.replace view dest path
+        | Types.Withdraw dest -> Hashtbl.remove view dest)
+    (sent_in_order fx);
+  let rib = Router.rib fx.router in
+  List.iter
+    (fun (peer, peer_as, kind) ->
+      List.iter
+        (fun d ->
+          let expected =
+            Export.target ~paths:tbl ~config ~own_as:0 ~peer_kind:kind ~peer_as
+              ~best:(Rib.best rib d) ()
+          in
+          let ctx = Printf.sprintf "peer %d dest %d" peer d in
+          Alcotest.check (Alcotest.option path_t) ctx expected
+            (Router.advertised_to fx.router ~peer d);
+          if peer = 2 then
+            Alcotest.check (Alcotest.option path_t) (ctx ^ " (peer's view)") expected
+              (Hashtbl.find_opt view d))
+        dests)
+    peers;
+  checkb "re-sync advertised something" true (Hashtbl.length view > 0)
+
 let test_router_metrics () =
   let fx = make_fixture ~config:no_jitter ~peers:[ (1, 1, Types.Ebgp); (2, 2, Types.Ebgp) ] () in
   Router.start fx.router;
@@ -600,6 +796,7 @@ let () =
           Alcotest.test_case "rank order" `Quick test_rib_rank_order;
           qc prop_rib_best_is_minimal;
           qc prop_packed_rank_isomorphic;
+          qc ~rand:(Random.State.make [| 14 |]) prop_rib_matches_model;
         ] );
       ( "router",
         [
@@ -628,6 +825,10 @@ let () =
             test_router_damping_suppresses_and_reuses;
           Alcotest.test_case "damping leaves clean routes" `Quick
             test_router_damping_clean_routes_unaffected;
+          Alcotest.test_case "re-sync after session reset (per-peer MRAI)" `Quick
+            (check_resync Config.Per_peer);
+          Alcotest.test_case "re-sync after session reset (per-dest MRAI)" `Quick
+            (check_resync Config.Per_dest);
           Alcotest.test_case "metrics" `Quick test_router_metrics;
         ] );
     ]
