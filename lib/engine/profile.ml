@@ -319,68 +319,60 @@ let phase_self dom_report =
 
 (* --- JSON (bgp-prof/1) --------------------------------------------------- *)
 
-let buf_float b f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.1f" f)
-  else Buffer.add_string b (Printf.sprintf "%.9g" f)
+module J = Json_lite
 
-let buf_sep b first = if !first then first := false else Buffer.add_string b ","
+let seconds ns = J.of_float (ns_to_s ns)
 
 let to_json r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"bgp-prof/1\"";
-  Buffer.add_string b ",\"wall_s\":";
-  buf_float b (ns_to_s r.wall_ns);
-  Buffer.add_string b ",\"domains\":[";
-  let firstd = ref true in
-  List.iter
-    (fun d ->
-      buf_sep b firstd;
-      Buffer.add_string b (Printf.sprintf "{\"domain\":%d,\"dropped\":%d" d.dom d.dropped);
-      Buffer.add_string b ",\"spans\":[";
-      let first = ref true in
-      List.iter
-        (fun (ki, shard, total, n, mx) ->
-          buf_sep b first;
-          Buffer.add_string b
-            (Printf.sprintf "{\"span\":\"%s\",\"shard\":%d,\"total_s\":"
-               (span_name (kind_of_index ki))
-               shard);
-          buf_float b (ns_to_s total);
-          Buffer.add_string b (Printf.sprintf ",\"count\":%d,\"max_s\":" n);
-          buf_float b (ns_to_s mx);
-          Buffer.add_string b "}")
-        (aggregate_spans d.spans);
-      Buffer.add_string b "],\"accums\":[";
-      let first = ref true in
-      List.iter
-        (fun a ->
-          buf_sep b first;
-          Buffer.add_string b
-            (Printf.sprintf "{\"span\":\"%s\",\"total_s\":" (span_name a.a_kind));
-          buf_float b (ns_to_s a.a_ns);
-          Buffer.add_string b (Printf.sprintf ",\"count\":%d}" a.a_count))
-        d.accums;
-      Buffer.add_string b "],\"gc\":{\"minor_words\":";
-      buf_float b d.gc.minor_words;
-      Buffer.add_string b ",\"promoted_words\":";
-      buf_float b d.gc.promoted_words;
-      Buffer.add_string b ",\"major_words\":";
-      buf_float b d.gc.major_words;
-      Buffer.add_string b
-        (Printf.sprintf
-           ",\"minor_collections\":%d,\"major_collections\":%d,\"heap_words\":%d}}"
-           d.gc.minor_collections d.gc.major_collections d.gc.heap_words))
-    r.domains;
-  Buffer.add_string b "],\"counters\":{";
-  let first = ref true in
-  List.iter
-    (fun (name, v) ->
-      buf_sep b first;
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" name v))
-    r.counters;
-  Buffer.add_string b "}}";
-  Buffer.contents b
+  let domain d =
+    J.Obj
+      [
+        ("domain", J.of_int d.dom);
+        ("dropped", J.of_int d.dropped);
+        ( "spans",
+          J.Arr
+            (List.map
+               (fun (ki, shard, total, n, mx) ->
+                 J.Obj
+                   [
+                     ("span", J.Str (span_name (kind_of_index ki)));
+                     ("shard", J.of_int shard);
+                     ("total_s", seconds total);
+                     ("count", J.of_int n);
+                     ("max_s", seconds mx);
+                   ])
+               (aggregate_spans d.spans)) );
+        ( "accums",
+          J.Arr
+            (List.map
+               (fun a ->
+                 J.Obj
+                   [
+                     ("span", J.Str (span_name a.a_kind));
+                     ("total_s", seconds a.a_ns);
+                     ("count", J.of_int a.a_count);
+                   ])
+               d.accums) );
+        ( "gc",
+          J.Obj
+            [
+              ("minor_words", J.of_float d.gc.minor_words);
+              ("promoted_words", J.of_float d.gc.promoted_words);
+              ("major_words", J.of_float d.gc.major_words);
+              ("minor_collections", J.of_int d.gc.minor_collections);
+              ("major_collections", J.of_int d.gc.major_collections);
+              ("heap_words", J.of_int d.gc.heap_words);
+            ] );
+      ]
+  in
+  J.to_string
+    (J.Obj
+       [
+         ("schema", J.Str "bgp-prof/1");
+         ("wall_s", seconds r.wall_ns);
+         ("domains", J.Arr (List.map domain r.domains));
+         ("counters", J.Obj (List.map (fun (name, v) -> (name, J.of_int v)) r.counters));
+       ])
 
 (* --- Flamegraph ---------------------------------------------------------- *)
 

@@ -108,305 +108,105 @@ let entry ~id ~title ~kind ~wall ~pool ~per_domain ~verdicts_pass ~verdicts_tota
 let add t e = t.entries_rev <- e :: t.entries_rev
 let entries t = List.rev t.entries_rev
 
-(* --- JSON emission -------------------------------------------------------- *)
+(* --- JSON ------------------------------------------------------------------ *)
 
-let buf_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Printf.bprintf buf "\\u%04x" (Char.code c)
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+module J = Bgp_engine.Json_lite
 
-let buf_float buf v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.bprintf buf "%.0f" v
-  else Printf.bprintf buf "%.9g" v
+let entry_json e =
+  J.Obj
+    [
+      ("id", J.Str e.id);
+      ("title", J.Str e.title);
+      ("kind", J.Str e.kind);
+      ("wall_s", J.of_float e.wall);
+      ("cpu_s", J.of_float e.cpu);
+      ("speedup", J.of_float e.speedup);
+      ("sim_runs", J.of_int e.sim_runs);
+      ("batches", J.of_int e.batches);
+      ("queue_wait_s", J.of_float e.queue_wait);
+      ("verdicts_pass", J.of_int e.verdicts_pass);
+      ("verdicts_total", J.of_int e.verdicts_total);
+      ( "last_batch_domains",
+        J.Arr
+          (List.map
+             (fun (d : Pool.domain_stat) ->
+               J.Obj
+                 [
+                   ("domain", J.of_int d.Pool.domain);
+                   ("jobs", J.of_int d.Pool.jobs);
+                   ("busy_s", J.of_float d.Pool.busy);
+                   ("wait_s", J.of_float d.Pool.wait);
+                 ])
+             e.per_domain) );
+    ]
+
+let micro_json m =
+  J.Obj
+    [
+      ("name", J.Str m.name);
+      ("iters", J.of_int m.iters);
+      ("wall_s", J.of_float m.micro_wall);
+      ("ns_per_op", J.of_float m.ns_per_op);
+      ("ops_per_s", J.of_float m.ops_per_s);
+    ]
+
+let attribution_json a =
+  J.Obj
+    [
+      ("scenario", J.Str a.attr_scenario);
+      ("convergence_delay_s", J.of_float a.attr_delay);
+      ("queueing_s", J.of_float a.attr_queueing);
+      ("processing_s", J.of_float a.attr_processing);
+      ("mrai_hold_s", J.of_float a.attr_mrai_hold);
+      ("propagation_s", J.of_float a.attr_propagation);
+      ("critical_hops", J.of_int a.attr_hops);
+      ("complete", J.Bool a.attr_complete);
+      ("dests", J.of_int a.attr_dests);
+      ("tail_p50_s", J.of_float a.attr_tail_p50);
+      ("tail_p95_s", J.of_float a.attr_tail_p95);
+      ("tail_p99_s", J.of_float a.attr_tail_p99);
+      ("straggler_dest", J.of_int a.attr_straggler_dest);
+      ("straggler_tail_s", J.of_float a.attr_straggler_tail);
+    ]
+
+let profile_json p =
+  J.Obj
+    [
+      ("wall_s", J.of_float p.prof_wall);
+      ("queue_wait_s", J.of_float p.prof_queue_wait);
+      ( "spans",
+        J.Arr
+          (List.map
+             (fun (label, seconds, count) ->
+               J.Obj
+                 [
+                   ("span", J.Str label);
+                   ("total_s", J.of_float seconds);
+                   ("count", J.of_int count);
+                 ])
+             p.prof_spans) );
+      ("counters", J.Obj (List.map (fun (name, v) -> (name, J.of_int v)) p.prof_counters));
+    ]
 
 let to_json t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"schema\": \"bgp-bench/1\",\n";
-  Printf.bprintf buf "  \"trials\": %d,\n  \"n\": %d,\n  \"jobs\": %d,\n" t.trials t.n
-    t.jobs;
-  Buffer.add_string buf "  \"figures\": [";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "\n    {";
-      Buffer.add_string buf "\"id\": ";
-      buf_string buf e.id;
-      Buffer.add_string buf ", \"title\": ";
-      buf_string buf e.title;
-      Buffer.add_string buf ", \"kind\": ";
-      buf_string buf e.kind;
-      Buffer.add_string buf ", \"wall_s\": ";
-      buf_float buf e.wall;
-      Buffer.add_string buf ", \"cpu_s\": ";
-      buf_float buf e.cpu;
-      Buffer.add_string buf ", \"speedup\": ";
-      buf_float buf e.speedup;
-      Printf.bprintf buf ", \"sim_runs\": %d, \"batches\": %d, \"queue_wait_s\": "
-        e.sim_runs e.batches;
-      buf_float buf e.queue_wait;
-      Printf.bprintf buf ", \"verdicts_pass\": %d, \"verdicts_total\": %d"
-        e.verdicts_pass e.verdicts_total;
-      Buffer.add_string buf ", \"last_batch_domains\": [";
-      List.iteri
-        (fun j (d : Pool.domain_stat) ->
-          if j > 0 then Buffer.add_string buf ", ";
-          Printf.bprintf buf "{\"domain\": %d, \"jobs\": %d, \"busy_s\": " d.Pool.domain
-            d.Pool.jobs;
-          buf_float buf d.Pool.busy;
-          Buffer.add_string buf ", \"wait_s\": ";
-          buf_float buf d.Pool.wait;
-          Buffer.add_char buf '}')
-        e.per_domain;
-      Buffer.add_string buf "]}")
-    (entries t);
-  Buffer.add_string buf "\n  ],\n  \"micro\": [";
-  List.iteri
-    (fun i m ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "\n    {\"name\": ";
-      buf_string buf m.name;
-      Printf.bprintf buf ", \"iters\": %d, \"wall_s\": " m.iters;
-      buf_float buf m.micro_wall;
-      Buffer.add_string buf ", \"ns_per_op\": ";
-      buf_float buf m.ns_per_op;
-      Buffer.add_string buf ", \"ops_per_s\": ";
-      buf_float buf m.ops_per_s;
-      Buffer.add_char buf '}')
-    (micros t);
-  Buffer.add_string buf "\n  ]";
-  (match t.attribution with
-  | None -> ()
-  | Some a ->
-    Buffer.add_string buf ",\n  \"attribution\": {\"scenario\": ";
-    buf_string buf a.attr_scenario;
-    Buffer.add_string buf ", \"convergence_delay_s\": ";
-    buf_float buf a.attr_delay;
-    Buffer.add_string buf ", \"queueing_s\": ";
-    buf_float buf a.attr_queueing;
-    Buffer.add_string buf ", \"processing_s\": ";
-    buf_float buf a.attr_processing;
-    Buffer.add_string buf ", \"mrai_hold_s\": ";
-    buf_float buf a.attr_mrai_hold;
-    Buffer.add_string buf ", \"propagation_s\": ";
-    buf_float buf a.attr_propagation;
-    Printf.bprintf buf ", \"critical_hops\": %d, \"complete\": %b" a.attr_hops
-      a.attr_complete;
-    Printf.bprintf buf ", \"dests\": %d, \"tail_p50_s\": " a.attr_dests;
-    buf_float buf a.attr_tail_p50;
-    Buffer.add_string buf ", \"tail_p95_s\": ";
-    buf_float buf a.attr_tail_p95;
-    Buffer.add_string buf ", \"tail_p99_s\": ";
-    buf_float buf a.attr_tail_p99;
-    Printf.bprintf buf ", \"straggler_dest\": %d, \"straggler_tail_s\": "
-      a.attr_straggler_dest;
-    buf_float buf a.attr_straggler_tail;
-    Buffer.add_char buf '}');
-  (match t.profile with
-  | None -> ()
-  | Some p ->
-    Buffer.add_string buf ",\n  \"profile\": {\"wall_s\": ";
-    buf_float buf p.prof_wall;
-    Buffer.add_string buf ", \"queue_wait_s\": ";
-    buf_float buf p.prof_queue_wait;
-    Buffer.add_string buf ", \"spans\": [";
-    List.iteri
-      (fun i (label, seconds, count) ->
-        if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_string buf "\n      {\"span\": ";
-        buf_string buf label;
-        Buffer.add_string buf ", \"total_s\": ";
-        buf_float buf seconds;
-        Printf.bprintf buf ", \"count\": %d}" count)
-      p.prof_spans;
-    Buffer.add_string buf "\n    ], \"counters\": {";
-    List.iteri
-      (fun i (name, v) ->
-        if i > 0 then Buffer.add_string buf ", ";
-        buf_string buf name;
-        Printf.bprintf buf ": %d" v)
-      p.prof_counters;
-    Buffer.add_string buf "}}");
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf
+  let optional key f = function None -> [] | Some x -> [ (key, f x) ] in
+  J.to_string
+    (J.Obj
+       ([
+          ("schema", J.Str "bgp-bench/1");
+          ("trials", J.of_int t.trials);
+          ("n", J.of_int t.n);
+          ("jobs", J.of_int t.jobs);
+          ("figures", J.Arr (List.map entry_json (entries t)));
+          ("micro", J.Arr (List.map micro_json (micros t)));
+        ]
+       @ optional "attribution" attribution_json t.attribution
+       @ optional "profile" profile_json t.profile))
 
 let write t path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_json t))
-
-(* --- Minimal JSON reader -------------------------------------------------- *)
-
-(* Just enough of RFC 8259 to validate our own emitters in tests (and to
-   let external tooling failures show up as parse errors here first).
-   Numbers are floats; no unicode decoding beyond \uXXXX -> '?' for
-   non-ASCII. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse_error fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
-
-let of_string s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> parse_error "expected %c at %d, got %c" c !pos c'
-    | None -> parse_error "expected %c at %d, got end of input" c !pos
-  in
-  let literal word value =
-    String.iter expect word;
-    value
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> parse_error "unterminated string at %d" !pos
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some '"' -> Buffer.add_char buf '"'
-        | Some '\\' -> Buffer.add_char buf '\\'
-        | Some '/' -> Buffer.add_char buf '/'
-        | Some 'n' -> Buffer.add_char buf '\n'
-        | Some 't' -> Buffer.add_char buf '\t'
-        | Some 'r' -> Buffer.add_char buf '\r'
-        | Some 'b' -> Buffer.add_char buf '\b'
-        | Some 'f' -> Buffer.add_char buf '\012'
-        | Some 'u' ->
-          if !pos + 4 >= n then parse_error "truncated \\u escape at %d" !pos;
-          let hex = String.sub s (!pos + 1) 4 in
-          let code =
-            match int_of_string_opt ("0x" ^ hex) with
-            | Some c -> c
-            | None -> parse_error "bad \\u escape %S at %d" hex !pos
-          in
-          pos := !pos + 4;
-          if code < 0x80 then Buffer.add_char buf (Char.chr code)
-          else Buffer.add_char buf '?'
-        | Some c -> parse_error "bad escape \\%c at %d" c !pos
-        | None -> parse_error "truncated escape at %d" !pos);
-        advance ();
-        go ()
-      | Some c ->
-        advance ();
-        Buffer.add_char buf c;
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let number_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> number_char c | None -> false) do
-      advance ()
-    done;
-    let lit = String.sub s start (!pos - start) in
-    match float_of_string_opt lit with
-    | Some v -> Num v
-    | None -> parse_error "bad number %S at %d" lit start
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> parse_error "unexpected end of input at %d" !pos
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((key, v) :: acc)
-          | Some '}' ->
-            advance ();
-            Obj (List.rev ((key, v) :: acc))
-          | _ -> parse_error "expected , or } at %d" !pos
-        in
-        members []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Arr []
-      end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            Arr (List.rev (v :: acc))
-          | _ -> parse_error "expected , or ] at %d" !pos
-        in
-        elements []
-      end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> parse_error "unexpected character %c at %d" c !pos
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then parse_error "trailing garbage at %d" !pos;
-  v
-
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
-
-let to_float = function Num v -> Some v | _ -> None
-let to_str = function Str v -> Some v | _ -> None
-let to_list = function Arr v -> Some v | _ -> None
+    (fun () ->
+      output_string oc (to_json t);
+      output_char oc '\n')

@@ -5,11 +5,9 @@
     pool runtime metrics, trial counts and shape-verdict tallies — and
     serializes the batch as a single JSON document (schema
     ["bgp-bench/1"]), so CI can archive and diff benchmark runs without
-    scraping terminal output.
-
-    The dependency budget rules out a JSON library, so both the emitter
-    and the {!of_string} reader are hand-rolled; the reader exists mainly
-    so the test suite can validate what the emitter produces. *)
+    scraping terminal output.  The document is a
+    {!Bgp_engine.Json_lite} value, so {!Bgp_engine.Json_lite.parse}
+    reads it back. *)
 
 type entry = {
   id : string;
@@ -105,24 +103,7 @@ val add : t -> entry -> unit
 val entries : t -> entry list
 
 val to_json : t -> string
+(** One compact {!Bgp_engine.Json_lite} document. *)
+
 val write : t -> string -> unit
-
-(** {1 Minimal JSON reader} *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-val of_string : string -> json
-(** @raise Parse_error on malformed input. *)
-
-val member : string -> json -> json option
-val to_float : json -> float option
-val to_str : json -> string option
-val to_list : json -> json list option
+(** {!to_json} plus a trailing newline. *)

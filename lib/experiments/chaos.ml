@@ -1,5 +1,6 @@
 module Rng = Bgp_engine.Rng
 module Pool = Bgp_engine.Pool
+module J = Bgp_engine.Json_lite
 module Runner = Bgp_netsim.Runner
 module Network = Bgp_netsim.Network
 module Trace = Bgp_netsim.Trace
@@ -131,7 +132,7 @@ let probe_digest p =
     r.Runner.max_queue r.Runner.events r.Runner.lost_messages r.Runner.survivors_connected;
   List.iter
     (fun e ->
-      Buffer.add_string buf (Trace.event_to_json e);
+      J.to_buffer buf (Trace.event_json e);
       Buffer.add_char buf '\n')
     p.events;
   Digest.to_hex (Digest.string (Buffer.contents buf))
@@ -382,58 +383,49 @@ let violating campaign = List.filter (fun o -> o.violations <> []) campaign.outc
 
 (* --- Reporting ----------------------------------------------------------- *)
 
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-  else Printf.sprintf "%.17g" v
-
-let json_str s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let strings l = J.Arr (List.map (fun x -> J.Str x) l)
 
 let artifact_to_json cfg campaign =
   let bad = violating campaign in
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf
-    "{\"schema\":\"bgp-chaos/1\",\"base_seed\":%d,\"trials\":%d,\"horizon\":%s,\"max_events\":%d,\"fingerprint\":%s,\"kinds_seen\":[%s],\"violating_trials\":%d"
-    cfg.base.Runner.seed cfg.trials (json_float cfg.horizon) cfg.max_events
-    (json_str campaign.fingerprint)
-    (String.concat "," (List.map json_str campaign.kinds_seen))
-    (List.length bad);
-  Buffer.add_string buf ",\"violations\":[";
-  List.iteri
-    (fun i o ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf
-        "{\"trial_seed\":%d,\"invariants\":[%s],\"details\":[%s],\"schedule\":%s}"
-        o.trial_seed
-        (String.concat ","
-           (List.map json_str
-              (List.sort_uniq String.compare
-                 (List.map (fun v -> v.invariant) o.violations))))
-        (String.concat "," (List.map (fun v -> json_str v.detail) o.violations))
-        (Fi.to_json o.schedule))
-    (List.filteri (fun i _ -> i < 20) bad);
-  Buffer.add_string buf "]";
-  (match campaign.minimized with
-  | None -> Buffer.add_string buf ",\"minimized\":null"
-  | Some m ->
-    Printf.bprintf buf
-      ",\"minimized\":{\"trial_seed\":%d,\"original_events\":%d,\"events\":%d,\"invariants\":[%s],\"schedule\":%s}"
-      m.m_trial_seed m.m_original_events
-      (List.length m.m_schedule)
-      (String.concat "," (List.map json_str m.m_invariants))
-      (Fi.to_json m.m_schedule));
-  Buffer.add_string buf "}";
-  Buffer.contents buf
+  J.to_string
+    (J.Obj
+       [
+         ("schema", J.Str "bgp-chaos/1");
+         ("base_seed", J.of_int cfg.base.Runner.seed);
+         ("trials", J.of_int cfg.trials);
+         ("horizon", J.of_float cfg.horizon);
+         ("max_events", J.of_int cfg.max_events);
+         ("fingerprint", J.Str campaign.fingerprint);
+         ("kinds_seen", strings campaign.kinds_seen);
+         ("violating_trials", J.of_int (List.length bad));
+         ( "violations",
+           J.Arr
+             (List.map
+                (fun o ->
+                  J.Obj
+                    [
+                      ("trial_seed", J.of_int o.trial_seed);
+                      ( "invariants",
+                        strings
+                          (List.sort_uniq String.compare
+                             (List.map (fun v -> v.invariant) o.violations)) );
+                      ("details", strings (List.map (fun v -> v.detail) o.violations));
+                      ("schedule", Fi.to_json o.schedule);
+                    ])
+                (List.filteri (fun i _ -> i < 20) bad)) );
+         ( "minimized",
+           J.of_option
+             (fun m ->
+               J.Obj
+                 [
+                   ("trial_seed", J.of_int m.m_trial_seed);
+                   ("original_events", J.of_int m.m_original_events);
+                   ("events", J.of_int (List.length m.m_schedule));
+                   ("invariants", strings m.m_invariants);
+                   ("schedule", Fi.to_json m.m_schedule);
+                 ])
+             campaign.minimized );
+       ])
 
 let pp_campaign ppf campaign =
   let bad = violating campaign in

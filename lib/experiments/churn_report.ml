@@ -75,44 +75,54 @@ let summary t =
     p99 = Delay_hist.percentile t.pooled 0.99;
   }
 
-let f = J.float_lit
-
 let trial_json tr =
   let s = tr.stats in
-  Printf.sprintf
-    "{\"seed\":%d,\"converged\":%b,\"ops\":%d,\"span\":%s,\"updates_processed\":%d,\"sustained_rate\":%s,\"peak_window_rate\":%s,\"windows\":%d,\"queue_high_water\":%d,\"disturbed\":%d,\"unconverged\":%d,\"tail_p50\":%s,\"tail_p95\":%s,\"tail_p99\":%s,\"hist\":%s}"
-    tr.seed tr.converged s.Churn.ops (f s.Churn.span) s.Churn.updates_processed
-    (f s.Churn.sustained_rate) (f s.Churn.peak_window_rate) s.Churn.windows
-    s.Churn.queue_high_water s.Churn.disturbed s.Churn.unconverged (f s.Churn.p50)
-    (f s.Churn.p95) (f s.Churn.p99)
-    (Delay_hist.to_json s.Churn.tails)
+  J.Obj
+    [
+      ("seed", J.of_int tr.seed);
+      ("converged", J.Bool tr.converged);
+      ("ops", J.of_int s.Churn.ops);
+      ("span", J.of_float s.Churn.span);
+      ("updates_processed", J.of_int s.Churn.updates_processed);
+      ("sustained_rate", J.of_float s.Churn.sustained_rate);
+      ("peak_window_rate", J.of_float s.Churn.peak_window_rate);
+      ("windows", J.of_int s.Churn.windows);
+      ("queue_high_water", J.of_int s.Churn.queue_high_water);
+      ("disturbed", J.of_int s.Churn.disturbed);
+      ("unconverged", J.of_int s.Churn.unconverged);
+      ("tail_p50", J.of_float s.Churn.p50);
+      ("tail_p95", J.of_float s.Churn.p95);
+      ("tail_p99", J.of_float s.Churn.p99);
+      ("hist", Delay_hist.to_json s.Churn.tails);
+    ]
 
 let to_json t =
   let s = summary t in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema\":\"bgp-churn/1\",\"workload\":%s,\"window\":%s,\"jobs\":%d,\"shards\":%d"
-       (J.escape s.workload) (f t.window) t.jobs t.shards);
-  Buffer.add_string b
-    (Printf.sprintf ",\"trials\":%d,\"prefixes\":%d,\"universe\":%d,\"sampled_fraction\":%s"
-       s.trials s.prefixes s.universe (f s.sampled_fraction));
-  Buffer.add_string b
-    (Printf.sprintf
-       ",\"ops\":%d,\"sustained_rate\":%s,\"peak_window_rate\":%s,\"queue_high_water\":%d"
-       s.ops (f s.sustained_rate) (f s.peak_window_rate) s.queue_high_water);
-  Buffer.add_string b
-    (Printf.sprintf
-       ",\"disturbed\":%d,\"unconverged\":%d,\"converged_trials\":%d,\"tail_p50\":%s,\"tail_p95\":%s,\"tail_p99\":%s"
-       s.disturbed s.unconverged s.converged_trials (f s.p50) (f s.p95) (f s.p99));
-  Buffer.add_string b (Printf.sprintf ",\"hist\":%s,\"trial_results\":[" (Delay_hist.to_json t.pooled));
-  List.iteri
-    (fun i tr ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (trial_json tr))
-    (List.rev t.trials_rev);
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  J.to_string
+    (J.Obj
+       [
+         ("schema", J.Str "bgp-churn/1");
+         ("workload", J.Str s.workload);
+         ("window", J.of_float t.window);
+         ("jobs", J.of_int t.jobs);
+         ("shards", J.of_int t.shards);
+         ("trials", J.of_int s.trials);
+         ("prefixes", J.of_int s.prefixes);
+         ("universe", J.of_int s.universe);
+         ("sampled_fraction", J.of_float s.sampled_fraction);
+         ("ops", J.of_int s.ops);
+         ("sustained_rate", J.of_float s.sustained_rate);
+         ("peak_window_rate", J.of_float s.peak_window_rate);
+         ("queue_high_water", J.of_int s.queue_high_water);
+         ("disturbed", J.of_int s.disturbed);
+         ("unconverged", J.of_int s.unconverged);
+         ("converged_trials", J.of_int s.converged_trials);
+         ("tail_p50", J.of_float s.p50);
+         ("tail_p95", J.of_float s.p95);
+         ("tail_p99", J.of_float s.p99);
+         ("hist", Delay_hist.to_json t.pooled);
+         ("trial_results", J.Arr (List.map trial_json (List.rev t.trials_rev)));
+       ])
 
 let write t path =
   let tmp = path ^ ".tmp" in

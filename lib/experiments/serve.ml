@@ -98,24 +98,6 @@ let status_json t =
   let r = M.report t.acc in
   let uptime = Unix.gettimeofday () -. t.started in
   let rate = if uptime > 0. then float_of_int r.M.r_trials /. uptime else 0. in
-  let b = Buffer.create 512 in
-  let f = J.float_lit in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema\":\"bgp-serve-status/2\",\"dir\":%s,\"uptime\":%s,\"trials\":%d,\"dests\":%d"
-       (J.escape t.dir) (f uptime) r.M.r_trials r.M.r_dests);
-  Buffer.add_string b
-    (Printf.sprintf ",\"skipped\":%d,\"first_error\":%s" r.M.r_skipped
-       (match r.M.r_first_error with None -> "null" | Some e -> J.escape e));
-  Buffer.add_string b
-    (Printf.sprintf ",\"mean_delay\":%s,\"tail_p50\":%s,\"tail_p95\":%s,\"tail_p99\":%s"
-       (f r.M.r_mean_delay) (f r.M.r_p50) (f r.M.r_p95) (f r.M.r_p99));
-  Buffer.add_string b
-    (Printf.sprintf ",\"battery\":{\"pass\":%d,\"fail\":%d,\"violations\":{%s}}" r.M.r_pass
-       r.M.r_fail
-       (String.concat ","
-          (List.map (fun (n, c) -> Printf.sprintf "%s:%d" (J.escape n) c) r.M.r_violations)));
-  Buffer.add_string b (Printf.sprintf ",\"trials_per_sec\":%s" (f rate));
   (* Active workload kind: the newest folded churn campaign's, or
      "one-shot" when only attribution sidecars have been folded. *)
   let workload =
@@ -123,22 +105,50 @@ let status_json t =
     | (_, s) :: _ -> Some s.Churn_report.workload
     | [] -> if r.M.r_trials > 0 then Some "one-shot" else None
   in
-  Buffer.add_string b
-    (Printf.sprintf ",\"workload\":%s,\"churn_campaigns\":%d"
-       (match workload with None -> "null" | Some w -> J.escape w)
-       (List.length t.churn));
-  (* /2 additions: explicit-unit uptime plus process gauges, so a status
-     poll answers "is this instance healthy" without the metrics verb. *)
   let gc = Gc.quick_stat () in
-  Buffer.add_string b
-    (Printf.sprintf ",\"uptime_s\":%s,\"rss_bytes\":%d,\"gc\":{\"heap_words\":%d,\"minor_collections\":%d,\"major_collections\":%d}"
-       (f uptime) (rss_bytes ()) gc.Gc.heap_words gc.Gc.minor_collections
-       gc.Gc.major_collections);
-  Buffer.add_string b
-    (Printf.sprintf
-       ",\"counters\":{\"scans\":%d,\"folded\":%d,\"requests\":%d,\"status\":%d,\"report\":%d,\"flame\":%d,\"metrics\":%d}}"
-       t.scans t.folded t.requests t.q_status t.q_report t.q_flame t.q_metrics);
-  Buffer.contents b
+  let str s = J.Str s in
+  J.to_string
+    (J.Obj
+       [
+         ("schema", J.Str "bgp-serve-status/2");
+         ("dir", J.Str t.dir);
+         ("uptime", J.of_float uptime);
+         ("trials", J.of_int r.M.r_trials);
+         ("dests", J.of_int r.M.r_dests);
+         ("skipped", J.of_int r.M.r_skipped);
+         ("first_error", J.of_option str r.M.r_first_error);
+         ("mean_delay", J.of_float r.M.r_mean_delay);
+         ("tail_p50", J.of_float r.M.r_p50);
+         ("tail_p95", J.of_float r.M.r_p95);
+         ("tail_p99", J.of_float r.M.r_p99);
+         ("battery", M.battery_json r);
+         ("trials_per_sec", J.of_float rate);
+         ("workload", J.of_option str workload);
+         ("churn_campaigns", J.of_int (List.length t.churn));
+         (* /2 additions: explicit-unit uptime plus process gauges, so a
+            status poll answers "is this instance healthy" without the
+            metrics verb. *)
+         ("uptime_s", J.of_float uptime);
+         ("rss_bytes", J.of_int (rss_bytes ()));
+         ( "gc",
+           J.Obj
+             [
+               ("heap_words", J.of_int gc.Gc.heap_words);
+               ("minor_collections", J.of_int gc.Gc.minor_collections);
+               ("major_collections", J.of_int gc.Gc.major_collections);
+             ] );
+         ( "counters",
+           J.Obj
+             [
+               ("scans", J.of_int t.scans);
+               ("folded", J.of_int t.folded);
+               ("requests", J.of_int t.requests);
+               ("status", J.of_int t.q_status);
+               ("report", J.of_int t.q_report);
+               ("flame", J.of_int t.q_flame);
+               ("metrics", J.of_int t.q_metrics);
+             ] );
+       ])
 
 (* Prometheus text exposition format, version 0.0.4: HELP/TYPE comment
    pairs then one sample per line.  Scrapers poll this through
@@ -238,8 +248,9 @@ let handle t line =
   | "metrics" ->
     t.q_metrics <- t.q_metrics + 1;
     metrics_text t
-  | "shutdown" -> "{\"schema\":\"bgp-serve-status/2\",\"shutdown\":true}"
-  | other -> Printf.sprintf "{\"error\":%s}" (J.escape ("unknown request: " ^ other))
+  | "shutdown" ->
+    J.to_string (J.Obj [ ("schema", J.Str "bgp-serve-status/2"); ("shutdown", J.Bool true) ])
+  | other -> J.to_string (J.Obj [ ("error", J.Str ("unknown request: " ^ other)) ])
 
 (* Read one request line from a connection (client half-closes after
    sending, so EOF also terminates the request). *)

@@ -148,80 +148,52 @@ let report t =
     r_stragglers = t.worst;
   }
 
-let json_float = Json_lite.float_lit
+module J = Json_lite
 
-let buf_components buf (c : A.components) =
-  Printf.bprintf buf
-    "{\"queueing\":%s,\"processing\":%s,\"mrai_hold\":%s,\"propagation\":%s,\"total\":%s}"
-    (json_float c.A.queueing) (json_float c.A.processing) (json_float c.A.mrai_hold)
-    (json_float c.A.propagation)
-    (json_float (A.total c))
+let battery_json r =
+  J.Obj
+    [
+      ("pass", J.of_int r.r_pass);
+      ("fail", J.of_int r.r_fail);
+      ( "violations",
+        J.Obj (List.map (fun (name, count) -> (name, J.of_int count)) r.r_violations) );
+    ]
 
 let to_json ?(top = 10) t =
   let r = report t in
-  let buf = Buffer.create 2048 in
-  Printf.bprintf buf "{\"schema\":\"bgp-attr-merge/1\",\"trials\":%d,\"mean_delay\":%s,"
-    r.r_trials (json_float r.r_mean_delay);
-  Printf.bprintf buf
-    "\"sources\":{\"sidecars\":%d,\"reparsed\":%d,\"skipped\":%d,\"first_error\":%s},"
-    r.r_from_sidecars r.r_reparsed r.r_skipped
-    (match r.r_first_error with None -> "null" | Some m -> Json_lite.escape m);
-  Buffer.add_string buf "\"totals\":";
-  buf_components buf r.r_totals;
-  Buffer.add_string buf ",\"aggregate\":";
-  buf_components buf r.r_aggregate;
-  Printf.bprintf buf
-    ",\"pooled_tails\":{\"dests\":%d,\"tail_p50\":%s,\"tail_p95\":%s,\"tail_p99\":%s},"
-    r.r_dests (json_float r.r_p50) (json_float r.r_p95) (json_float r.r_p99);
-  Printf.bprintf buf "\"histogram\":%s," (Delay_hist.to_json t.hist);
-  Printf.bprintf buf "\"battery\":{\"pass\":%d,\"fail\":%d,\"violations\":{%s}},"
-    r.r_pass r.r_fail
-    (String.concat ","
-       (List.map
-          (fun (name, count) -> Printf.sprintf "%s:%d" (Json_lite.escape name) count)
-          r.r_violations));
-  Buffer.add_string buf "\"stragglers\":[";
-  List.iteri
-    (fun i s ->
-      if i < top then begin
-        if i > 0 then Buffer.add_char buf ',';
-        Printf.bprintf buf
-          "{\"seed\":%d,\"dest\":%d,\"tail\":%s,\"dominant\":\"%s\",\"parts\":" s.seed
-          s.dest (json_float s.tail) (A.dominant s.parts);
-        buf_components buf s.parts;
-        Buffer.add_char buf '}'
-      end)
-    r.r_stragglers;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  J.to_string
+    (J.Obj
+       [
+         ("schema", J.Str "bgp-attr-merge/1");
+         ("trials", J.of_int r.r_trials);
+         ("mean_delay", J.of_float r.r_mean_delay);
+         ( "sources",
+           J.Obj
+             [
+               ("sidecars", J.of_int r.r_from_sidecars);
+               ("reparsed", J.of_int r.r_reparsed);
+               ("skipped", J.of_int r.r_skipped);
+               ("first_error", J.of_option (fun m -> J.Str m) r.r_first_error);
+             ] );
+         ("totals", A.components_json r.r_totals);
+         ("aggregate", A.components_json r.r_aggregate);
+         ( "pooled_tails",
+           A.tails_json { A.n_dests = r.r_dests; p50 = r.r_p50; p95 = r.r_p95; p99 = r.r_p99 }
+         );
+         ("histogram", Delay_hist.to_json t.hist);
+         ("battery", battery_json r);
+         ( "stragglers",
+           J.Arr
+             (List.map
+                (fun s -> A.straggler_json ~seed:s.seed ~dest:s.dest ~tail:s.tail s.parts)
+                (List.filteri (fun i _ -> i < top) r.r_stragglers)) );
+       ])
 
 let to_flamegraph t =
-  let buf = Buffer.create 4096 in
-  let routers =
-    List.sort Int.compare (Hashtbl.fold (fun r _ acc -> r :: acc) t.by_router [])
-  in
-  List.iter
-    (fun router ->
-      let parts = Hashtbl.find t.by_router router in
-      List.iter
-        (fun name ->
-          let v = A.component parts name in
-          if Float.round (v *. 1e6) >= 1.0 then
-            Printf.bprintf buf "router_%d;%s %.0f\n" router name
-              (Float.round (v *. 1e6)))
-        A.component_names)
-    routers;
-  Buffer.contents buf
-
-let pct part whole = if whole <= 0.0 then 0.0 else 100.0 *. part /. whole
-
-let pp_components ppf (c : A.components) =
-  let whole = A.total c in
-  Fmt.pf ppf
-    "queueing %.4fs (%.1f%%) | processing %.4fs (%.1f%%) | mrai hold %.4fs (%.1f%%) | propagation %.4fs (%.1f%%)"
-    c.A.queueing (pct c.A.queueing whole) c.A.processing (pct c.A.processing whole)
-    c.A.mrai_hold (pct c.A.mrai_hold whole) c.A.propagation
-    (pct c.A.propagation whole)
+  A.flamegraph_by_router
+    (List.sort
+       (fun (a, _) (b, _) -> Int.compare a b)
+       (Hashtbl.fold (fun r parts acc -> (r, parts) :: acc) t.by_router []))
 
 let pp ?(top = 5) ppf t =
   let r = report t in
@@ -233,8 +205,8 @@ let pp ?(top = 5) ppf t =
     Fmt.pf ppf "  SKIPPED %d unreadable input(s); first: %s@." n
       (Option.value ~default:"?" err));
   Fmt.pf ppf "  mean convergence delay %.4fs@." r.r_mean_delay;
-  Fmt.pf ppf "  critical paths: %a@." pp_components r.r_totals;
-  Fmt.pf ppf "  network-wide:   %a@." pp_components r.r_aggregate;
+  Fmt.pf ppf "  critical paths: %a@." A.pp_components r.r_totals;
+  Fmt.pf ppf "  network-wide:   %a@." A.pp_components r.r_aggregate;
   Fmt.pf ppf
     "  pooled tails over %d (trial, dest) pairs: p50 %.4fs, p95 %.4fs, p99 %.4fs \
      (histogram, <2%% rel. error)@."

@@ -75,10 +75,14 @@ val to_json : ?top:int -> t -> string
     [histogram], and the [battery] pass/fail tally.  [top] (default 10)
     caps the straggler array. *)
 
+val battery_json : report -> Json_lite.t
+(** The invariant-battery tally [{pass, fail, violations: {name: count}}],
+    shared by {!to_json} and the serve status document. *)
+
 val to_flamegraph : t -> string
 (** Merged aggregate [router;component] collapsed stacks (integer
     microseconds), one line per (router, component) across all folded
-    trials. *)
+    trials: {!Attribution.flamegraph_by_router} over the merged table. *)
 
 val pp : ?top:int -> Format.formatter -> t -> unit
 

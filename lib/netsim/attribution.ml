@@ -284,15 +284,19 @@ let add_flame_lines buf ~prefix parts =
         Printf.bprintf buf "%s;%s %s\n" prefix name (flame_value v))
     component_names
 
-let to_flamegraph ?(mode = Flame_aggregate) t =
+let flamegraph_by_router by_router =
   let buf = Buffer.create 4096 in
-  (match mode with
-  | Flame_aggregate ->
-    List.iter
-      (fun (router, parts) ->
-        add_flame_lines buf ~prefix:(Printf.sprintf "router_%d" router) parts)
-      t.aggregate_by_router
+  List.iter
+    (fun (router, parts) ->
+      add_flame_lines buf ~prefix:(Printf.sprintf "router_%d" router) parts)
+    by_router;
+  Buffer.contents buf
+
+let to_flamegraph ?(mode = Flame_aggregate) t =
+  match mode with
+  | Flame_aggregate -> flamegraph_by_router t.aggregate_by_router
   | Flame_per_dest ->
+    let buf = Buffer.create 4096 in
     List.iter
       (fun d ->
         let table = Hashtbl.create 16 in
@@ -312,21 +316,44 @@ let to_flamegraph ?(mode = Flame_aggregate) t =
               ~prefix:(Printf.sprintf "dest_%d;router_%d" d.dest r)
               (Hashtbl.find table r))
           (List.sort Int.compare !routers))
-      (List.sort (fun a b -> Int.compare a.dest b.dest) t.per_dest));
-  Buffer.contents buf
+      (List.sort (fun a b -> Int.compare a.dest b.dest) t.per_dest);
+    Buffer.contents buf
 
 (* --- JSON ---------------------------------------------------------------- *)
 
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-  else Printf.sprintf "%.17g" v
+module J = Json_lite
 
-let buf_components buf c =
-  Printf.bprintf buf
-    "{\"queueing\":%s,\"processing\":%s,\"mrai_hold\":%s,\"propagation\":%s,\"total\":%s}"
-    (json_float c.queueing) (json_float c.processing) (json_float c.mrai_hold)
-    (json_float c.propagation)
-    (json_float (total c))
+let components_json c =
+  J.Obj
+    [
+      ("queueing", J.of_float c.queueing);
+      ("processing", J.of_float c.processing);
+      ("mrai_hold", J.of_float c.mrai_hold);
+      ("propagation", J.of_float c.propagation);
+      ("total", J.of_float (total c));
+    ]
+
+let tails_fields s =
+  [
+    ("dests", J.of_int s.n_dests);
+    ("tail_p50", J.of_float s.p50);
+    ("tail_p95", J.of_float s.p95);
+    ("tail_p99", J.of_float s.p99);
+  ]
+
+let tails_json s = J.Obj (tails_fields s)
+
+let straggler_json ~seed ~dest ~tail parts =
+  J.Obj
+    [
+      ("seed", J.of_int seed);
+      ("dest", J.of_int dest);
+      ("tail", J.of_float tail);
+      ("dominant", J.Str (dominant parts));
+      ("parts", components_json parts);
+    ]
+
+let take n l = List.filteri (fun i _ -> i < n) l
 
 let kind_of_event = function
   | Trace.Update_sent _ -> "update_sent"
@@ -338,67 +365,67 @@ let kind_of_event = function
   | Trace.Session_up _ -> "session_up"
   | Trace.Fault _ -> "fault"
 
-let buf_per_dest buf t =
-  Printf.bprintf buf
-    "{\"dests\":%d,\"tail_p50\":%s,\"tail_p95\":%s,\"tail_p99\":%s,\"destinations\":["
-    t.tails.n_dests (json_float t.tails.p50) (json_float t.tails.p95)
-    (json_float t.tails.p99);
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf
-        "{\"dest\":%d,\"tail\":%s,\"complete\":%b,\"hops\":%d,\"dominant\":\"%s\",\"parts\":"
-        d.dest (json_float d.tail) d.dest_complete
-        (List.length d.dest_path)
-        (dominant d.dest_parts);
-      buf_components buf d.dest_parts;
-      Buffer.add_char buf '}')
-    t.per_dest;
-  Buffer.add_string buf "]}"
+let per_dest_json t =
+  J.Obj
+    (tails_fields t.tails
+    @ [
+        ( "destinations",
+          J.Arr
+            (List.map
+               (fun d ->
+                 J.Obj
+                   [
+                     ("dest", J.of_int d.dest);
+                     ("tail", J.of_float d.tail);
+                     ("complete", J.Bool d.dest_complete);
+                     ("hops", J.of_int (List.length d.dest_path));
+                     ("dominant", J.Str (dominant d.dest_parts));
+                     ("parts", components_json d.dest_parts);
+                   ])
+               t.per_dest) );
+      ])
 
 let to_json ?(top = 10) t =
-  let buf = Buffer.create 4096 in
-  Printf.bprintf buf
-    "{\"schema\":\"bgp-attr/2\",\"t_fail\":%s,\"convergence_delay\":%s,\"complete\":%b,\"events\":%d,"
-    (json_float t.t_fail)
-    (json_float t.convergence_delay)
-    t.complete t.events;
-  Buffer.add_string buf "\"totals\":";
-  buf_components buf t.totals;
-  Buffer.add_string buf ",\"aggregate\":";
-  buf_components buf t.aggregate;
-  Buffer.add_string buf ",\"per_dest\":";
-  buf_per_dest buf t;
-  Buffer.add_string buf ",\"critical_path\":[";
-  List.iteri
-    (fun i hop ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "{\"id\":%d,\"kind\":\"%s\",\"time\":%s,\"router\":%d,\"cause\":%d,\"parts\":"
-        (Trace.id_of hop.event)
-        (kind_of_event hop.event)
-        (json_float (Trace.time_of hop.event))
-        (Trace.router_of hop.event)
-        (Trace.cause_of hop.event);
-      buf_components buf hop.parts;
-      Buffer.add_char buf '}')
-    t.critical_path;
-  Buffer.add_string buf "],\"per_router\":[";
-  List.iteri
-    (fun i stat ->
-      if i < top then begin
-        if i > 0 then Buffer.add_char buf ',';
-        Printf.bprintf buf "{\"router\":%d,\"residency\":%s,\"hops\":%d,\"parts\":"
-          stat.router (json_float stat.residency) stat.hops;
-        buf_components buf stat.parts;
-        Buffer.add_char buf '}'
-      end)
-    t.per_router;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  J.to_string
+    (J.Obj
+       [
+         ("schema", J.Str "bgp-attr/2");
+         ("t_fail", J.of_float t.t_fail);
+         ("convergence_delay", J.of_float t.convergence_delay);
+         ("complete", J.Bool t.complete);
+         ("events", J.of_int t.events);
+         ("totals", components_json t.totals);
+         ("aggregate", components_json t.aggregate);
+         ("per_dest", per_dest_json t);
+         ( "critical_path",
+           J.Arr
+             (List.map
+                (fun hop ->
+                  J.Obj
+                    [
+                      ("id", J.of_int (Trace.id_of hop.event));
+                      ("kind", J.Str (kind_of_event hop.event));
+                      ("time", J.of_float (Trace.time_of hop.event));
+                      ("router", J.of_int (Trace.router_of hop.event));
+                      ("cause", J.of_int (Trace.cause_of hop.event));
+                      ("parts", components_json hop.parts);
+                    ])
+                t.critical_path) );
+         ( "per_router",
+           J.Arr
+             (List.map
+                (fun stat ->
+                  J.Obj
+                    [
+                      ("router", J.of_int stat.router);
+                      ("residency", J.of_float stat.residency);
+                      ("hops", J.of_int stat.hops);
+                      ("parts", components_json stat.parts);
+                    ])
+                (take top t.per_router)) );
+       ])
 
 (* --- Per-trial sidecars ---------------------------------------------------- *)
-
-module J = Json_lite
 
 type sidecar_dest = {
   sd_dest : int;
@@ -448,40 +475,36 @@ let sidecar_path trace = Filename.remove_extension trace ^ sidecar_suffix
 let is_sidecar_path path = Filename.check_suffix path sidecar_suffix
 
 let sidecar_to_json sc =
-  let buf = Buffer.create 2048 in
-  Printf.bprintf buf
-    "{\"schema\":\"bgp-attr-sidecar/1\",\"seed\":%d,\"t_fail\":%s,\"delay\":%s,\"complete\":%b,\"events\":%d,"
-    sc.sc_seed (json_float sc.sc_t_fail) (json_float sc.sc_delay) sc.sc_complete
-    sc.sc_events;
-  Buffer.add_string buf "\"totals\":";
-  buf_components buf sc.sc_totals;
-  Buffer.add_string buf ",\"aggregate\":";
-  buf_components buf sc.sc_aggregate;
-  Buffer.add_string buf ",\"by_router\":[";
-  List.iteri
-    (fun i (router, parts) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "[%d," router;
-      buf_components buf parts;
-      Buffer.add_char buf ']')
-    sc.sc_by_router;
-  Buffer.add_string buf "],\"dests\":[";
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "{\"dest\":%d,\"tail\":%s,\"complete\":%b,\"parts\":" d.sd_dest
-        (json_float d.sd_tail) d.sd_complete;
-      buf_components buf d.sd_parts;
-      Buffer.add_char buf '}')
-    sc.sc_dests;
-  Buffer.add_string buf "],\"violations\":[";
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (J.escape v))
-    sc.sc_violations;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  J.to_string
+    (J.Obj
+       [
+         ("schema", J.Str "bgp-attr-sidecar/1");
+         ("seed", J.of_int sc.sc_seed);
+         ("t_fail", J.of_float sc.sc_t_fail);
+         ("delay", J.of_float sc.sc_delay);
+         ("complete", J.Bool sc.sc_complete);
+         ("events", J.of_int sc.sc_events);
+         ("totals", components_json sc.sc_totals);
+         ("aggregate", components_json sc.sc_aggregate);
+         ( "by_router",
+           J.Arr
+             (List.map
+                (fun (router, parts) -> J.Arr [ J.of_int router; components_json parts ])
+                sc.sc_by_router) );
+         ( "dests",
+           J.Arr
+             (List.map
+                (fun d ->
+                  J.Obj
+                    [
+                      ("dest", J.of_int d.sd_dest);
+                      ("tail", J.of_float d.sd_tail);
+                      ("complete", J.Bool d.sd_complete);
+                      ("parts", components_json d.sd_parts);
+                    ])
+                sc.sc_dests) );
+         ("violations", J.Arr (List.map (fun v -> J.Str v) sc.sc_violations));
+       ])
 
 let components_of_json j =
   let o = J.obj j in
@@ -599,35 +622,22 @@ let merge trials =
     { n_trials; mean_delay; merged_totals; merged_aggregate; pooled_tails; worst }
 
 let merged_to_json ?(top = 10) m =
-  let buf = Buffer.create 4096 in
-  Printf.bprintf buf
-    "{\"schema\":\"bgp-attr-merge/1\",\"trials\":%d,\"mean_delay\":%s," m.n_trials
-    (json_float m.mean_delay);
-  Buffer.add_string buf "\"totals\":";
-  buf_components buf m.merged_totals;
-  Buffer.add_string buf ",\"aggregate\":";
-  buf_components buf m.merged_aggregate;
-  Printf.bprintf buf
-    ",\"pooled_tails\":{\"dests\":%d,\"tail_p50\":%s,\"tail_p95\":%s,\"tail_p99\":%s},"
-    m.pooled_tails.n_dests
-    (json_float m.pooled_tails.p50)
-    (json_float m.pooled_tails.p95)
-    (json_float m.pooled_tails.p99);
-  Buffer.add_string buf "\"stragglers\":[";
-  List.iteri
-    (fun i (seed, d) ->
-      if i < top then begin
-        if i > 0 then Buffer.add_char buf ',';
-        Printf.bprintf buf
-          "{\"seed\":%d,\"dest\":%d,\"tail\":%s,\"dominant\":\"%s\",\"parts\":" seed
-          d.dest (json_float d.tail)
-          (dominant d.dest_parts);
-        buf_components buf d.dest_parts;
-        Buffer.add_char buf '}'
-      end)
-    m.worst;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  J.to_string
+    (J.Obj
+       [
+         ("schema", J.Str "bgp-attr-merge/1");
+         ("trials", J.of_int m.n_trials);
+         ("mean_delay", J.of_float m.mean_delay);
+         ("totals", components_json m.merged_totals);
+         ("aggregate", components_json m.merged_aggregate);
+         ("pooled_tails", tails_json m.pooled_tails);
+         ( "stragglers",
+           J.Arr
+             (List.map
+                (fun (seed, d) ->
+                  straggler_json ~seed ~dest:d.dest ~tail:d.tail d.dest_parts)
+                (take top m.worst)) );
+       ])
 
 (* --- Text report --------------------------------------------------------- *)
 
@@ -697,18 +707,3 @@ let pp_per_dest ?(top = 5) ppf t =
           (if d.dest_complete then "" else " [INCOMPLETE]")
           pp_components d.dest_parts)
     t.per_dest
-
-let pp_merged ?(top = 5) ppf m =
-  Fmt.pf ppf "Merged attribution over %d traced trials@." m.n_trials;
-  Fmt.pf ppf "  mean convergence delay %.4fs@." m.mean_delay;
-  Fmt.pf ppf "  critical paths: %a@." pp_components m.merged_totals;
-  Fmt.pf ppf "  network-wide:   %a@." pp_components m.merged_aggregate;
-  Fmt.pf ppf "  pooled tails over %d (trial, dest) pairs: p50 %.4fs, p95 %.4fs, p99 %.4fs@."
-    m.pooled_tails.n_dests m.pooled_tails.p50 m.pooled_tails.p95 m.pooled_tails.p99;
-  Fmt.pf ppf "  worst straggler destinations across the sweep:@.";
-  List.iteri
-    (fun i (seed, d) ->
-      if i < top then
-        Fmt.pf ppf "    seed %3d dest %3d: tail %.4fs (dominant %s)@." seed d.dest d.tail
-          (dominant d.dest_parts))
-    m.worst

@@ -143,6 +143,25 @@ val to_flamegraph : ?mode:flame_mode -> t -> string
     simulated time; zero-valued lines are omitted.  Default mode
     {!Flame_aggregate}. *)
 
+val flamegraph_by_router : (int * components) list -> string
+(** The {!Flame_aggregate} rendering of a by-router table, in list order:
+    one [router_N;component] line per part that rounds to at least 1 us.
+    {!Attr_merge} renders its merged table through this too. *)
+
+(** {2 JSON}
+
+    Documents are {!Json_lite} values; the pieces below are shared with
+    {!Attr_merge}, which writes the same merge schema. *)
+
+val components_json : components -> Json_lite.t
+(** The four components plus their [total]. *)
+
+val tails_json : tail_summary -> Json_lite.t
+(** [{dests, tail_p50, tail_p95, tail_p99}]. *)
+
+val straggler_json : seed:int -> dest:int -> tail:float -> components -> Json_lite.t
+(** One straggler row of a merge report, with its dominant component. *)
+
 val to_json : ?top:int -> t -> string
 (** Schema ["bgp-attr/2"].  [top] (default 10) caps [per_router]; the
     critical path and the per-destination array are always emitted in
@@ -152,6 +171,9 @@ val pp : ?top:int -> ?max_hops:int -> Format.formatter -> t -> unit
 (** Human-readable report: component totals with percentages, the
     critical path (at most [max_hops], default 40, keeping the ends), and
     the [top] (default 5) routers by residency. *)
+
+val pp_components : Format.formatter -> components -> unit
+(** One line: each component in seconds with its share of the total. *)
 
 val pp_per_dest : ?top:int -> Format.formatter -> t -> unit
 (** Per-destination report: tail percentiles, stragglers beyond p95, and
@@ -244,4 +266,3 @@ val merged_to_json : ?top:int -> merged -> string
 (** Schema ["bgp-attr-merge/1"].  [top] (default 10) caps the straggler
     array. *)
 
-val pp_merged : ?top:int -> Format.formatter -> merged -> unit

@@ -211,25 +211,6 @@ let shrink schedule =
     candidates := List.map (fun e -> { e with at = e.at /. 2.0 }) schedule :: !candidates;
   List.rev !candidates
 
-(* --- JSON ---------------------------------------------------------------- *)
-
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.6g" f
-
-let to_json schedule =
-  let buf = Buffer.create 256 in
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf {|{"at":%s,"op":"%s","router":%d,"dest":%d}|} (json_float e.at)
-           (op_label e.op) e.router e.dest))
-    schedule;
-  Buffer.add_char buf ']';
-  Buffer.contents buf
-
 (* --- Installation -------------------------------------------------------- *)
 
 (* Preassigned trace-id block, above [Fault_injector]'s (which starts at

@@ -78,9 +78,6 @@ val shrink : schedule -> schedule list
     withdraw/announce cycle, or halve every onset.  Every candidate of a
     valid schedule is valid (QCheck-pinned). *)
 
-val to_json : schedule -> string
-(** JSON array, one object per op (embedded in the churn artifact). *)
-
 val churn_id_base : int
 (** Preassigned trace-id block of churn roots ([2 * Network.first_root_id]),
     disjoint from {!Fault_injector}'s. *)

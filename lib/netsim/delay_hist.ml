@@ -61,19 +61,13 @@ let percentile t q =
   end
 
 let to_json t =
-  let buf = Buffer.create 256 in
-  Printf.bprintf buf "{\"n\":%d,\"buckets\":[" t.n;
-  let first = ref true in
-  Array.iteri
-    (fun i c ->
-      if c > 0 then begin
-        if not !first then Buffer.add_char buf ',';
-        first := false;
-        Printf.bprintf buf "[%d,%d]" i c
-      end)
-    t.counts;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let module J = Json_lite in
+  let buckets = ref [] in
+  for i = n_buckets - 1 downto 0 do
+    if t.counts.(i) > 0 then
+      buckets := J.Arr [ J.of_int i; J.of_int t.counts.(i) ] :: !buckets
+  done;
+  J.Obj [ ("n", J.of_int t.n); ("buckets", J.Arr !buckets) ]
 
 let of_json json =
   let module J = Json_lite in

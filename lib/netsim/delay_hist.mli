@@ -50,9 +50,9 @@ val percentile : t -> float -> float
     bucket containing the nearest-rank sample ([ceil (q * count)]-th
     smallest); [0.0] on an empty histogram or an underflow bucket hit. *)
 
-val to_json : t -> string
-(** A compact sparse rendering [{"n":N,"buckets":[[i,c],...]}] (only
-    non-empty buckets), embedded in merge reports. *)
+val to_json : t -> Json_lite.t
+(** A sparse rendering [{"n":N,"buckets":[[i,c],...]}] (only non-empty
+    buckets), embedded in merge and churn reports. *)
 
 val of_json : Json_lite.t -> t
 (** Rebuild from {!to_json} output.

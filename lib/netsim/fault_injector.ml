@@ -266,43 +266,43 @@ let shrink schedule =
 
 (* --- JSON ---------------------------------------------------------------- *)
 
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-  else Printf.sprintf "%.17g" v
+module J = Json_lite
 
-let fault_to_json buf = function
+let fault_fields = function
   | Partition { side; heal_after } ->
-    Printf.bprintf buf "\"kind\":\"partition\",\"side\":[";
-    List.iteri
-      (fun i r -> Printf.bprintf buf "%s%d" (if i > 0 then "," else "") r)
-      side;
-    Printf.bprintf buf "],\"heal_after\":%s" (json_float heal_after)
+    [
+      ("kind", J.Str "partition");
+      ("side", J.Arr (List.map J.of_int side));
+      ("heal_after", J.of_float heal_after);
+    ]
   | Session_reset { u; v; recover_after } ->
-    Printf.bprintf buf "\"kind\":\"session_reset\",\"u\":%d,\"v\":%d,\"recover_after\":%s"
-      u v (json_float recover_after)
+    [
+      ("kind", J.Str "session_reset");
+      ("u", J.of_int u);
+      ("v", J.of_int v);
+      ("recover_after", J.of_float recover_after);
+    ]
   | Gray_link { u; v; loss; duration } ->
-    Printf.bprintf buf "\"kind\":\"gray_link\",\"u\":%d,\"v\":%d,\"loss\":%s,\"duration\":%s"
-      u v (json_float loss) (json_float duration)
+    [
+      ("kind", J.Str "gray_link");
+      ("u", J.of_int u);
+      ("v", J.of_int v);
+      ("loss", J.of_float loss);
+      ("duration", J.of_float duration);
+    ]
   | Link_jitter { u; v; factor; duration } ->
-    Printf.bprintf buf
-      "\"kind\":\"link_jitter\",\"u\":%d,\"v\":%d,\"factor\":%s,\"duration\":%s" u v
-      (json_float factor) (json_float duration)
+    [
+      ("kind", J.Str "link_jitter");
+      ("u", J.of_int u);
+      ("v", J.of_int v);
+      ("factor", J.of_float factor);
+      ("duration", J.of_float duration);
+    ]
   | Clock_skew { router; skew } ->
-    Printf.bprintf buf "\"kind\":\"clock_skew\",\"router\":%d,\"skew\":%s" router
-      (json_float skew)
+    [ ("kind", J.Str "clock_skew"); ("router", J.of_int router); ("skew", J.of_float skew) ]
 
 let to_json schedule =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "{\"at\":%s," (json_float e.at);
-      fault_to_json buf e.fault;
-      Buffer.add_char buf '}')
-    schedule;
-  Buffer.add_string buf "]";
-  Buffer.contents buf
+  J.Arr (List.map (fun e -> J.Obj (("at", J.of_float e.at) :: fault_fields e.fault)) schedule)
 
 (* --- Installation -------------------------------------------------------- *)
 

@@ -73,8 +73,8 @@ val shrink : schedule -> schedule list
     QCheck property pins this); used as the minimizer's polish pass
     after ddmin. *)
 
-val to_json : schedule -> string
-(** JSON array (one object per event), embedded in the chaos artifact. *)
+val to_json : schedule -> Json_lite.t
+(** A JSON array (one object per event), embedded in the chaos artifact. *)
 
 val lookahead : link_delay:float -> schedule -> float
 (** The engine's hard lookahead under this schedule: the smallest one-way

@@ -210,96 +210,92 @@ let counters_csv r =
     r.counters;
   Buffer.contents buf
 
-(* Hand-rolled JSON emission: the values are identifiers and numbers, so
-   escaping only needs to cover the metric names we generate. *)
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Printf.bprintf buf "\\u%04x" (Char.code c)
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+module J = Json_lite
 
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.9g" v
-
-let series_jsonl r =
-  let buf = Buffer.create (96 * (1 + Array.length r.samples)) in
-  Array.iter
-    (fun (s : sample) ->
-      Printf.bprintf buf
-        "{\"time\":%s,\"router\":%d,\"queue_len\":%d,\"unfinished_work\":%s,\"mrai_level\":%d,\"mrai_transitions\":%d,\"rib_size\":%d,\"rib_changes\":%d}\n"
-        (json_float s.time) s.row.router s.row.queue_len
-        (json_float s.row.unfinished_work)
-        s.row.mrai_level s.row.mrai_transitions s.row.rib_size s.row.rib_changes)
-    r.samples;
-  Buffer.contents buf
-
-let counters_jsonl r =
+let jsonl values =
   let buf = Buffer.create 1024 in
   List.iter
-    (fun (name, kind, v) ->
-      Printf.bprintf buf "{\"name\":%s,\"kind\":%s,\"value\":%s}\n" (json_string name)
-        (json_string (kind_name kind))
-        (json_float v))
-    r.counters;
+    (fun v ->
+      J.to_buffer buf v;
+      Buffer.add_char buf '\n')
+    values;
   Buffer.contents buf
 
+let counter_json (name, kind, v) =
+  J.Obj [ ("name", J.Str name); ("kind", J.Str (kind_name kind)); ("value", J.of_float v) ]
+
+let series_jsonl r =
+  jsonl
+    (Array.to_list
+       (Array.map
+          (fun (s : sample) ->
+            J.Obj
+              [
+                ("time", J.of_float s.time);
+                ("router", J.of_int s.row.router);
+                ("queue_len", J.of_int s.row.queue_len);
+                ("unfinished_work", J.of_float s.row.unfinished_work);
+                ("mrai_level", J.of_int s.row.mrai_level);
+                ("mrai_transitions", J.of_int s.row.mrai_transitions);
+                ("rib_size", J.of_int s.row.rib_size);
+                ("rib_changes", J.of_int s.row.rib_changes);
+              ])
+          r.samples))
+
+let counters_jsonl r = jsonl (List.map counter_json r.counters)
+
+let memory_json m =
+  J.Obj
+    [
+      ( "per_shard",
+        J.Arr
+          (List.map
+             (fun s ->
+               J.Obj
+                 [
+                   ("shard", J.of_int s.shard);
+                   ("routers", J.of_int s.routers);
+                   ("rib_entries", J.of_int s.rib_entries);
+                   ("rib_bytes", J.of_int s.rib_bytes);
+                   ("path_nodes", J.of_int s.path_nodes);
+                   ("path_bytes", J.of_int s.path_bytes);
+                   ("sched_max_live", J.of_int s.sched_max_live);
+                   ("sched_slab_cap", J.of_int s.sched_slab_cap);
+                 ])
+             m.per_shard) );
+      ("rib_bytes_total", J.of_int m.rib_bytes_total);
+      ("path_bytes_total", J.of_int m.path_bytes_total);
+      ("path_sharing", J.of_float m.path_sharing);
+      ( "trace",
+        J.Obj
+          [
+            ("len", J.of_int m.trace_len);
+            ("cap", J.of_int m.trace_cap);
+            ("dropped", J.of_int m.trace_dropped);
+            ("spilled", J.of_int m.trace_spilled);
+          ] );
+    ]
+
 let report_json r =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"schema\": \"bgp-telemetry/1\",\n";
-  Printf.bprintf buf "  \"probe_interval\": %s,\n" (json_float r.interval);
-  (match r.t_fail with
-  | None -> Buffer.add_string buf "  \"t_fail\": null,\n"
-  | Some t -> Printf.bprintf buf "  \"t_fail\": %s,\n" (json_float t));
-  Printf.bprintf buf "  \"probes\": %d,\n  \"dropped\": %d,\n  \"samples\": %d,\n"
-    r.probes r.dropped (Array.length r.samples);
-  Buffer.add_string buf "  \"progress\": [";
-  Array.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Printf.bprintf buf "[%s, %s]" (json_float p.time) (json_float p.value))
-    r.progress;
-  Buffer.add_string buf "],\n  \"counters\": [";
-  List.iteri
-    (fun i (name, kind, v) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Printf.bprintf buf "{\"name\": %s, \"kind\": %s, \"value\": %s}" (json_string name)
-        (json_string (kind_name kind))
-        (json_float v))
-    r.counters;
-  Buffer.add_string buf "],\n";
-  (match r.memory with
-  | None -> Buffer.add_string buf "  \"memory\": null\n"
-  | Some m ->
-    Buffer.add_string buf "  \"memory\": {\n    \"per_shard\": [";
-    List.iteri
-      (fun i s ->
-        if i > 0 then Buffer.add_string buf ", ";
-        Printf.bprintf buf
-          "{\"shard\": %d, \"routers\": %d, \"rib_entries\": %d, \"rib_bytes\": %d, \
-           \"path_nodes\": %d, \"path_bytes\": %d, \"sched_max_live\": %d, \
-           \"sched_slab_cap\": %d}"
-          s.shard s.routers s.rib_entries s.rib_bytes s.path_nodes s.path_bytes
-          s.sched_max_live s.sched_slab_cap)
-      m.per_shard;
-    Printf.bprintf buf
-      "],\n    \"rib_bytes_total\": %d,\n    \"path_bytes_total\": %d,\n    \
-       \"path_sharing\": %s,\n    \"trace\": {\"len\": %d, \"cap\": %d, \"dropped\": \
-       %d, \"spilled\": %d}\n  }\n"
-      m.rib_bytes_total m.path_bytes_total
-      (json_float m.path_sharing)
-      m.trace_len m.trace_cap m.trace_dropped m.trace_spilled);
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  J.to_string
+    (J.Obj
+       [
+         ("schema", J.Str "bgp-telemetry/1");
+         ("probe_interval", J.of_float r.interval);
+         ("t_fail", J.of_option J.of_float r.t_fail);
+         ("probes", J.of_int r.probes);
+         ("dropped", J.of_int r.dropped);
+         ("samples", J.of_int (Array.length r.samples));
+         ( "progress",
+           J.Arr
+             (Array.to_list
+                (Array.map
+                   (fun (p : series_point) -> J.Arr [ J.of_float p.time; J.of_float p.value ])
+                   r.progress)) );
+         ("counters", J.Arr (List.map counter_json r.counters));
+         ("memory", J.of_option memory_json r.memory);
+       ])
+  ^ "\n"
 
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin

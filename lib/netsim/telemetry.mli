@@ -128,13 +128,15 @@ val report : t -> report
 val series_csv : report -> string
 val progress_csv : report -> string
 val counters_csv : report -> string
+
 val series_jsonl : report -> string
 val counters_jsonl : report -> string
+(** One compact {!Json_lite} object per line. *)
 
 val report_json : report -> string
 (** Whole-run summary (schema ["bgp-telemetry/1"]): probe metadata,
     progress series and counter snapshot, without the bulky per-router
-    samples. *)
+    samples.  One compact line, newline-terminated. *)
 
 val export : dir:string -> ?prefix:string -> report -> string list
 (** Write all six artifacts into [dir] (created if missing), each file

@@ -141,64 +141,74 @@ let pp_event ppf = function
 
 (* --- JSONL serialization -------------------------------------------------- *)
 
-(* "%.17g" round-trips any finite double exactly, so spilled events parse
-   back bit-identical and attribution over a spilled trace matches the
-   in-memory result. *)
-let json_float = Json_lite.float_lit
-
-let buf_update buf update =
-  match update with
-  | Types.Advertise { dest; path } ->
-    Printf.bprintf buf "{\"kind\":\"advertise\",\"dest\":%d,\"path\":[" dest;
-    List.iteri
-      (fun i asn -> Printf.bprintf buf "%s%d" (if i > 0 then "," else "") asn)
-      (Path.hops path);
-    Buffer.add_string buf "]}"
-  | Types.Withdraw dest -> Printf.bprintf buf "{\"kind\":\"withdraw\",\"dest\":%d}" dest
-
-let event_to_json event =
-  let buf = Buffer.create 128 in
-  let head kind id time =
-    Printf.bprintf buf "{\"type\":\"%s\",\"id\":%d,\"time\":%s" kind id (json_float time)
-  in
-  (match event with
-  | Update_sent { id; time; src; dst; update; cause } ->
-    head "update_sent" id time;
-    Printf.bprintf buf ",\"src\":%d,\"dst\":%d,\"cause\":%d,\"update\":" src dst cause;
-    buf_update buf update
-  | Update_delivered { id; time; src; dst; update; cause } ->
-    head "update_delivered" id time;
-    Printf.bprintf buf ",\"src\":%d,\"dst\":%d,\"cause\":%d,\"update\":" src dst cause;
-    buf_update buf update
-  | Processed { id; time; router; src; dest; enqueued; started; cause } ->
-    head "processed" id time;
-    Printf.bprintf buf
-      ",\"router\":%d,\"src\":%d,\"dest\":%d,\"enqueued\":%s,\"started\":%s,\"cause\":%d"
-      router src dest (json_float enqueued) (json_float started) cause
-  | Mrai_flush { id; time; router; peer; dest; ready; cause } ->
-    head "mrai_flush" id time;
-    Printf.bprintf buf ",\"router\":%d,\"peer\":%d,\"dest\":%d,\"ready\":%s,\"cause\":%d"
-      router peer dest (json_float ready) cause
-  | Router_failed { id; time; router } ->
-    head "router_failed" id time;
-    Printf.bprintf buf ",\"router\":%d" router
-  | Session_down { id; time; router; peer; cause } ->
-    head "session_down" id time;
-    Printf.bprintf buf ",\"router\":%d,\"peer\":%d,\"cause\":%d" router peer cause
-  | Session_up { id; time; router; peer; cause } ->
-    head "session_up" id time;
-    Printf.bprintf buf ",\"router\":%d,\"peer\":%d,\"cause\":%d" router peer cause
-  | Fault { id; time; label; router; cause } ->
-    head "fault" id time;
-    Printf.bprintf buf ",\"label\":\"%s\",\"router\":%d,\"cause\":%d" label router cause);
-  Buffer.add_char buf '}';
-  Buffer.contents buf
-
-(* The JSON reader lives in {!Json_lite}, shared with the sidecar and
-   merge layers; numbers keep their literal so ints and exact floats both
-   survive. *)
+(* Floats go through {!Json_lite.float_lit} ("%.17g" unless whole), so
+   spilled events parse back bit-identical and attribution over a spilled
+   trace matches the in-memory result. *)
 module J = Json_lite
 
+let update_json = function
+  | Types.Advertise { dest; path } ->
+    J.Obj
+      [
+        ("kind", J.Str "advertise");
+        ("dest", J.of_int dest);
+        ("path", J.Arr (List.map J.of_int (Path.hops path)));
+      ]
+  | Types.Withdraw dest -> J.Obj [ ("kind", J.Str "withdraw"); ("dest", J.of_int dest) ]
+
+let event_json event =
+  let head kind id time rest =
+    J.Obj (("type", J.Str kind) :: ("id", J.of_int id) :: ("time", J.of_float time) :: rest)
+  in
+  let message src dst cause update =
+    [
+      ("src", J.of_int src);
+      ("dst", J.of_int dst);
+      ("cause", J.of_int cause);
+      ("update", update_json update);
+    ]
+  in
+  let session router peer cause =
+    [ ("router", J.of_int router); ("peer", J.of_int peer); ("cause", J.of_int cause) ]
+  in
+  match event with
+  | Update_sent { id; time; src; dst; update; cause } ->
+    head "update_sent" id time (message src dst cause update)
+  | Update_delivered { id; time; src; dst; update; cause } ->
+    head "update_delivered" id time (message src dst cause update)
+  | Processed { id; time; router; src; dest; enqueued; started; cause } ->
+    head "processed" id time
+      [
+        ("router", J.of_int router);
+        ("src", J.of_int src);
+        ("dest", J.of_int dest);
+        ("enqueued", J.of_float enqueued);
+        ("started", J.of_float started);
+        ("cause", J.of_int cause);
+      ]
+  | Mrai_flush { id; time; router; peer; dest; ready; cause } ->
+    head "mrai_flush" id time
+      [
+        ("router", J.of_int router);
+        ("peer", J.of_int peer);
+        ("dest", J.of_int dest);
+        ("ready", J.of_float ready);
+        ("cause", J.of_int cause);
+      ]
+  | Router_failed { id; time; router } ->
+    head "router_failed" id time [ ("router", J.of_int router) ]
+  | Session_down { id; time; router; peer; cause } ->
+    head "session_down" id time (session router peer cause)
+  | Session_up { id; time; router; peer; cause } ->
+    head "session_up" id time (session router peer cause)
+  | Fault { id; time; label; router; cause } ->
+    head "fault" id time
+      [ ("label", J.Str label); ("router", J.of_int router); ("cause", J.of_int cause) ]
+
+let event_to_json event = J.to_string (event_json event)
+
+(* Numbers keep their literal in {!Json_lite}, so ints and exact floats
+   both survive the round trip. *)
 let event_of_json ~paths line =
   J.try_result @@ fun () ->
     let obj = J.obj (J.parse line) in
@@ -282,8 +292,14 @@ type run_meta = { seed : int; t_fail : float }
 let meta_prefix = "{\"type\":\"meta\""
 
 let meta_to_json m =
-  Printf.sprintf "{\"type\":\"meta\",\"schema\":\"bgp-trace/1\",\"seed\":%d,\"t_fail\":%s}"
-    m.seed (json_float m.t_fail)
+  J.to_string
+    (J.Obj
+       [
+         ("type", J.Str "meta");
+         ("schema", J.Str "bgp-trace/1");
+         ("seed", J.of_int m.seed);
+         ("t_fail", J.of_float m.t_fail);
+       ])
 
 let is_meta_line line =
   String.length line >= String.length meta_prefix

@@ -196,8 +196,11 @@ val read_file :
 
 (** {2 JSONL serialization} *)
 
+val event_json : event -> Json_lite.t
+(** The event as a JSON object, [type] first. *)
+
 val event_to_json : event -> string
-(** One line, no trailing newline. *)
+(** {!event_json} printed on one line, no trailing newline. *)
 
 val event_of_json :
   paths:Bgp_proto.Path.table -> string -> (event, string) result

@@ -194,7 +194,8 @@ let test_hist_merge_json () =
   List.iter (Delay_hist.add b) [ 0.15; 40.0 ];
   Delay_hist.merge_into ~into:a b;
   checki "merged count" 5 (Delay_hist.count a);
-  match Delay_hist.of_json (Bgp_netsim.Json_lite.parse (Delay_hist.to_json a)) with
+  let module J = Bgp_netsim.Json_lite in
+  match Delay_hist.of_json (J.parse (J.to_string (Delay_hist.to_json a))) with
   | exception Bgp_netsim.Json_lite.Bad m -> Alcotest.fail m
   | a' ->
     checki "roundtrip count" 5 (Delay_hist.count a');
@@ -328,6 +329,38 @@ let test_fallback_and_skip () =
   (* The skip surfaces in the JSON artifact too. *)
   checkb "json reports skip" true (contains (Attr_merge.to_json acc) "\"skipped\":1")
 
+(* A sidecar whose file name holds a tab surfaces that name in
+   first_error; the merged document must still be strict JSON (the tab
+   escaped, not written raw) and carry the name back intact. *)
+let test_control_char_in_first_error () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let name = "bad\tname.attr.json" in
+  Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+      Out_channel.output_string oc "not json");
+  let acc = streamed dir in
+  let doc = Attr_merge.to_json acc in
+  checkb "no raw control byte in the document" true
+    (String.for_all (fun c -> Char.code c >= 0x20) doc);
+  checkb "the tab is escaped" true (contains doc "bad\\u0009name");
+  let module J = Bgp_engine.Json_lite in
+  let first_error = J.field (J.obj (J.field (J.obj (J.parse doc)) "sources")) "first_error" in
+  checkb "first_error reads back with its tab" true (contains (J.str first_error) name)
+
+(* One flamegraph writer: over a one-trial campaign the merged flamegraph
+   is byte-identical to the trial's own aggregate flamegraph. *)
+let test_flame_one_trial () =
+  let trace = Trace.create ~capacity:500_000 () in
+  let s =
+    { scenario with Runner.net = { scenario.Runner.net with Network.trace = Some trace } }
+  in
+  let attr = Option.get (Runner.run s).Runner.attribution in
+  let acc = Attr_merge.create () in
+  Attr_merge.add_sidecar acc (Attribution.sidecar_of ~seed:s.Runner.seed attr);
+  let own = Attribution.to_flamegraph ~mode:Attribution.Flame_aggregate attr in
+  checkb "flamegraph is non-empty" true (own <> "");
+  checks "merged == single-trial flamegraph" own (Attr_merge.to_flamegraph acc)
+
 let test_plan_prefers_sidecars () =
   let dir, _ = Lazy.force campaign in
   let items = Attr_merge.plan dir in
@@ -371,5 +404,9 @@ let () =
           Alcotest.test_case "sidecars bypass trace JSONL" `Slow test_no_trace_reread;
           Alcotest.test_case "fallback and skip accounting" `Slow test_fallback_and_skip;
           Alcotest.test_case "plan prefers sidecars" `Slow test_plan_prefers_sidecars;
+          Alcotest.test_case "control byte in first_error" `Quick
+            test_control_char_in_first_error;
         ] );
+      ( "flamegraph",
+        [ Alcotest.test_case "one trial: merged == own" `Quick test_flame_one_trial ] );
     ]

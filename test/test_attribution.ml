@@ -14,6 +14,7 @@ module Network = Bgp_netsim.Network
 module Trace = Bgp_netsim.Trace
 module Attribution = Bgp_netsim.Attribution
 module Report = Bgp_experiments.Bench_report
+module J = Bgp_engine.Json_lite
 module Config = Bgp_proto.Config
 module Path = Bgp_proto.Path
 module Degree_dist = Bgp_topology.Degree_dist
@@ -242,27 +243,16 @@ let check_event_roundtrip () =
   | Error _ -> ()
 
 (* The analyze JSON is schema-valid and self-consistent, checked with the
-   repo's own JSON reader (%.17g floats round-trip exactly). *)
+   repo's own JSON reader (%.17g floats round-trip exactly).  Json_lite's
+   accessors raise [Bad] naming the key on a missing or mistyped member. *)
 let check_attr_json () =
   let traced = Runner.run (with_trace flat_scenario) in
   let attr = get_attr "json" traced in
-  let json = Report.of_string (Attribution.to_json attr) in
-  let str_member key =
-    match Option.bind (Report.member key json) Report.to_str with
-    | Some s -> s
-    | None -> Alcotest.failf "missing string %s" key
-  in
-  let float_member obj key =
-    match Option.bind (Report.member key obj) Report.to_float with
-    | Some v -> v
-    | None -> Alcotest.failf "missing float %s" key
-  in
-  Alcotest.check Alcotest.string "schema" "bgp-attr/2" (str_member "schema");
-  let totals =
-    match Report.member "totals" json with
-    | Some o -> o
-    | None -> Alcotest.fail "missing totals"
-  in
+  let json = J.obj (J.parse (Attribution.to_json attr)) in
+  let member obj key = J.field obj key in
+  let float_member obj key = J.float (member obj key) in
+  Alcotest.check Alcotest.string "schema" "bgp-attr/2" (J.str (member json "schema"));
+  let totals = J.obj (member json "totals") in
   let sum =
     float_member totals "queueing"
     +. float_member totals "processing"
@@ -270,49 +260,32 @@ let check_attr_json () =
     +. float_member totals "propagation"
   in
   nearf "json components sum to delay" (float_member json "convergence_delay") sum;
-  (match Report.member "complete" json with
-  | Some (Report.Bool true) -> ()
-  | _ -> Alcotest.fail "complete should be true");
-  let path =
-    match Option.bind (Report.member "critical_path" json) Report.to_list with
-    | Some l -> l
-    | None -> Alcotest.fail "missing critical_path"
-  in
+  checkb "complete should be true" true (J.bool (member json "complete"));
+  let path = J.arr (member json "critical_path") in
   checki "json path length" (List.length attr.Attribution.critical_path)
     (List.length path);
-  (match Option.bind (Report.member "per_router" json) Report.to_list with
-  | Some (_ :: _) -> ()
-  | _ -> Alcotest.fail "missing per_router");
-  let per_dest =
-    match Report.member "per_dest" json with
-    | Some o -> o
-    | None -> Alcotest.fail "missing per_dest"
-  in
-  (match Option.bind (Report.member "dests" per_dest) Report.to_float with
-  | Some n -> exactf "json dests" (float_of_int attr.Attribution.tails.Attribution.n_dests) n
-  | None -> Alcotest.fail "missing per_dest.dests");
-  match Option.bind (Report.member "destinations" per_dest) Report.to_list with
-  | Some dests ->
-    checki "json destinations length"
-      (List.length attr.Attribution.per_dest)
-      (List.length dests);
-    (* each serialized destination's parts sum to its tail *)
-    List.iter
-      (fun d ->
-        let parts =
-          match Report.member "parts" d with
-          | Some o -> o
-          | None -> Alcotest.fail "missing destination parts"
-        in
-        let sum =
-          float_member parts "queueing"
-          +. float_member parts "processing"
-          +. float_member parts "mrai_hold"
-          +. float_member parts "propagation"
-        in
-        nearf "json dest parts sum to tail" (float_member d "tail") sum)
-      dests
-  | None -> Alcotest.fail "missing per_dest.destinations"
+  checkb "per_router is non-empty" true (J.arr (member json "per_router") <> []);
+  let per_dest = J.obj (member json "per_dest") in
+  exactf "json dests"
+    (float_of_int attr.Attribution.tails.Attribution.n_dests)
+    (float_member per_dest "dests");
+  let dests = J.arr (member per_dest "destinations") in
+  checki "json destinations length"
+    (List.length attr.Attribution.per_dest)
+    (List.length dests);
+  (* each serialized destination's parts sum to its tail *)
+  List.iter
+    (fun d ->
+      let d = J.obj d in
+      let parts = J.obj (member d "parts") in
+      let sum =
+        float_member parts "queueing"
+        +. float_member parts "processing"
+        +. float_member parts "mrai_hold"
+        +. float_member parts "propagation"
+      in
+      nearf "json dest parts sum to tail" (float_member d "tail") sum)
+    dests
 
 (* Bench reports carry the attribution block through their own emitter. *)
 let check_bench_report_roundtrip () =
@@ -334,17 +307,13 @@ let check_bench_report_roundtrip () =
       attr_straggler_dest = 17;
       attr_straggler_tail = 3.5;
     };
-  let json = Report.of_string (Report.to_json t) in
+  let json = J.obj (J.parse (Report.to_json t)) in
   let attr =
-    match Report.member "attribution" json with
-    | Some o -> o
+    match J.field_opt json "attribution" with
+    | Some o -> J.obj o
     | None -> Alcotest.fail "bench report lost the attribution block"
   in
-  let f key =
-    match Option.bind (Report.member key attr) Report.to_float with
-    | Some v -> v
-    | None -> Alcotest.failf "missing %s" key
-  in
+  let f key = J.float (J.field attr key) in
   exactf "delay" 3.5 (f "convergence_delay_s");
   exactf "queueing" 0.5 (f "queueing_s");
   exactf "mrai_hold" 2.0 (f "mrai_hold_s");
@@ -355,9 +324,7 @@ let check_bench_report_roundtrip () =
   exactf "tail p99" 3.5 (f "tail_p99_s");
   exactf "straggler dest" 17.0 (f "straggler_dest");
   exactf "straggler tail" 3.5 (f "straggler_tail_s");
-  match Report.member "complete" attr with
-  | Some (Report.Bool true) -> ()
-  | _ -> Alcotest.fail "complete flag lost"
+  checkb "complete flag kept" true (J.bool (J.field attr "complete"))
 
 (* The flat reference scenario must surface at least one straggler: a
    destination whose tail exceeds the p95 tail (the acceptance criterion

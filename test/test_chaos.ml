@@ -214,6 +214,8 @@ let test_minimizer_self_test () =
       (List.mem "gray_link" (Fi.kinds m.Chaos.m_schedule));
     (* the artifact embeds the reproducer *)
     let json = Chaos.artifact_to_json cfg campaign in
+    checks "artifact reprints byte-identically" json
+      Bgp_engine.Json_lite.(to_string (parse json));
     checkb "artifact carries schema tag" true (contains json "bgp-chaos/1");
     checkb "artifact carries the minimized schedule" true
       (contains json "\"minimized\"" && contains json "gray_link")

@@ -81,7 +81,7 @@ let fingerprint (s : Churn.stats) =
     s.Churn.sustained_rate s.Churn.peak_window_rate s.Churn.windows
     s.Churn.queue_high_water s.Churn.disturbed s.Churn.unconverged s.Churn.p50
     s.Churn.p95 s.Churn.p99
-    (Delay_hist.to_json s.Churn.tails)
+    (Bgp_netsim.Json_lite.to_string (Delay_hist.to_json s.Churn.tails))
 
 (* --- (1) determinism battery ------------------------------------------ *)
 
@@ -305,6 +305,8 @@ let small_report () =
 
 let test_report_roundtrip () =
   let report = small_report () in
+  let doc = Churn_report.to_json report in
+  checks "report reprints byte-identically" doc Bgp_engine.Json_lite.(to_string (parse doc));
   let dir = temp_dir "bgpsim_churn_report" in
   let path = Filename.concat dir "storm.churn.json" in
   Churn_report.write report path;

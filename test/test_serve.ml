@@ -11,7 +11,7 @@
 
 module Attribution = Bgp_netsim.Attribution
 module Serve = Bgp_experiments.Serve
-module Report = Bgp_experiments.Bench_report
+module J = Bgp_engine.Json_lite
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -66,14 +66,14 @@ let drop dir ~seed ?violations ~delay () =
     (Filename.concat dir (Printf.sprintf "trial.seed%d.attr.json" seed))
     (sidecar ?violations ~seed ~delay ())
 
-(* Pull a field out of the status JSON via the bench-report reader. *)
+(* Pull a field out of the status JSON via the repo's JSON reader. *)
 let status_field t name =
-  match Report.member name (Report.of_string (Serve.handle t "status")) with
+  match J.field_opt (J.obj (J.parse (Serve.handle t "status"))) name with
   | Some v -> v
   | None -> Alcotest.failf "status has no %S member" name
 
 let status_int t name =
-  match Report.to_float (status_field t name) with
+  match float_of_string_opt (J.num (status_field t name)) with
   | Some f -> int_of_float f
   | None -> Alcotest.failf "status member %S is not a number" name
 
@@ -198,6 +198,27 @@ let test_corrupt_reported_once () =
   checkb "first_error names the file" true
     (contains (Serve.handle t "status") "bad.attr.json")
 
+(* A corrupt sidecar named with a tab: both status and report carry the
+   name in first_error, escaped, so each answer stays strict JSON. *)
+let test_control_char_in_first_error () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let t = Serve.create ~dir () in
+  Out_channel.with_open_bin (Filename.concat dir "bad\tname.attr.json") (fun oc ->
+      Out_channel.output_string oc "not json");
+  ignore (Serve.scan t);
+  List.iter
+    (fun (query, first_error) ->
+      let doc = Serve.handle t query in
+      checkb (query ^ ": no raw control byte") true
+        (String.for_all (fun c -> Char.code c >= 0x20) doc);
+      checkb (query ^ ": first_error keeps its tab") true
+        (contains (J.str (first_error (J.obj (J.parse doc)))) "bad\tname"))
+    [
+      ("status", fun o -> J.field o "first_error");
+      ("report", fun o -> J.field (J.obj (J.field o "sources")) "first_error");
+    ]
+
 (* One real socket round trip: fork a server bounded by --max-requests,
    query it as a client, and let the shutdown request stop it. *)
 let test_socket_roundtrip () =
@@ -250,6 +271,8 @@ let () =
             test_metrics_well_formed;
           Alcotest.test_case "corrupt sidecar reported once" `Quick
             test_corrupt_reported_once;
+          Alcotest.test_case "control byte in first_error" `Quick
+            test_control_char_in_first_error;
         ] );
       ("socket", [ Alcotest.test_case "fork + query + shutdown" `Quick test_socket_roundtrip ]);
     ]

@@ -15,10 +15,18 @@ module Runner = Bgp_netsim.Runner
 module Telemetry = Bgp_netsim.Telemetry
 module Bench_report = Bgp_experiments.Bench_report
 module Profile = Bgp_engine.Profile
+module J = Bgp_engine.Json_lite
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checkf = Alcotest.check (Alcotest.float 1e-9)
+
+(* Option-valued lookups over parsed documents, so a missing or mistyped
+   member fails the check that asked for it. *)
+let member key = function J.Obj o -> J.field_opt o key | _ -> None
+let to_str = function J.Str s -> Some s | _ -> None
+let to_float = function J.Num s -> float_of_string_opt s | _ -> None
+let to_list = function J.Arr l -> Some l | _ -> None
 
 let fixed_topo n edges =
   let g = Graph.create n in
@@ -197,12 +205,12 @@ let test_memory_snapshot_sharded () =
   checkb "hashcons sharing >= 1" true (mem.Telemetry.path_sharing >= 1.0);
   (* The memory snapshot rides in report_json (additively; the schema is
      unchanged). *)
-  let json = Bench_report.of_string (Telemetry.report_json rep) in
-  (match Option.bind (Bench_report.member "memory" json)
-           (Bench_report.member "rib_bytes_total") with
+  let json = J.parse (Telemetry.report_json rep) in
+  (match Option.bind (member "memory" json)
+           (member "rib_bytes_total") with
   | Some v ->
     checkb "rib_bytes_total in json" true
-      (Bench_report.to_float v = Some (float_of_int mem.Telemetry.rib_bytes_total))
+      (to_float v = Some (float_of_int mem.Telemetry.rib_bytes_total))
   | None -> Alcotest.fail "no memory object in report json")
 
 (* --- No perturbation when disabled (and when enabled) ---------------------- *)
@@ -346,15 +354,15 @@ let test_exporters_and_report_json () =
     (count_lines (Telemetry.counters_jsonl report));
   (* Every JSONL line and the report document must parse. *)
   String.split_on_char '\n' (Telemetry.series_jsonl report)
-  |> List.iter (fun line -> if line <> "" then ignore (Bench_report.of_string line));
-  let json = Bench_report.of_string (Telemetry.report_json report) in
+  |> List.iter (fun line -> if line <> "" then ignore (J.parse line));
+  let json = J.parse (Telemetry.report_json report) in
   checkb "schema" true
-    (Option.bind (Bench_report.member "schema" json) Bench_report.to_str
+    (Option.bind (member "schema" json) to_str
     = Some "bgp-telemetry/1");
   checkb "probe count in json" true
-    (Option.bind (Bench_report.member "probes" json) Bench_report.to_float
+    (Option.bind (member "probes" json) to_float
     = Some (float_of_int report.Telemetry.probes));
-  (match Option.bind (Bench_report.member "progress" json) Bench_report.to_list with
+  (match Option.bind (member "progress" json) to_list with
   | Some points -> checki "progress points" (Array.length report.Telemetry.progress)
                      (List.length points)
   | None -> Alcotest.fail "no progress array in report.json")
@@ -389,33 +397,32 @@ let test_bench_report_roundtrip () =
   Bench_report.add t
     (Bench_report.entry ~id:"fig1" ~title:"Convergence \"delay\"" ~kind:"figure"
        ~wall:2.75 ~pool ~per_domain ~verdicts_pass:3 ~verdicts_total:3);
-  let json = Bench_report.of_string (Bench_report.to_json t) in
+  let json = J.parse (Bench_report.to_json t) in
   checkb "schema" true
-    (Option.bind (Bench_report.member "schema" json) Bench_report.to_str
+    (Option.bind (member "schema" json) to_str
     = Some "bgp-bench/1");
   checkb "jobs" true
-    (Option.bind (Bench_report.member "jobs" json) Bench_report.to_float = Some 4.0);
+    (Option.bind (member "jobs" json) to_float = Some 4.0);
   let figures =
-    match Option.bind (Bench_report.member "figures" json) Bench_report.to_list with
+    match Option.bind (member "figures" json) to_list with
     | Some l -> l
     | None -> Alcotest.fail "no figures array"
   in
   checki "one entry" 1 (List.length figures);
   let fig = List.hd figures in
   checkb "id" true
-    (Option.bind (Bench_report.member "id" fig) Bench_report.to_str = Some "fig1");
+    (Option.bind (member "id" fig) to_str = Some "fig1");
   checkb "escaped title survives the round-trip" true
-    (Option.bind (Bench_report.member "title" fig) Bench_report.to_str
+    (Option.bind (member "title" fig) to_str
     = Some "Convergence \"delay\"");
-  (match Option.bind (Bench_report.member "speedup" fig) Bench_report.to_float with
+  (match Option.bind (member "speedup" fig) to_float with
   | Some s -> checkf "speedup = busy/wall" 4.0 s
   | None -> Alcotest.fail "no speedup");
-  (match Option.bind (Bench_report.member "last_batch_domains" fig) Bench_report.to_list with
+  (match Option.bind (member "last_batch_domains" fig) to_list with
   | Some domains -> checki "per-domain entries" 2 (List.length domains)
   | None -> Alcotest.fail "no per-domain stats");
-  Alcotest.check_raises "trailing garbage rejected"
-    (Bench_report.Parse_error "trailing garbage at 3") (fun () ->
-      ignore (Bench_report.of_string "{} x"))
+  Alcotest.check_raises "trailing garbage rejected" (J.Bad "trailing garbage at 3") (fun () ->
+      ignore (J.parse "{} x"))
 
 (* --- Profiler report (bgp-prof/1) ------------------------------------------- *)
 
@@ -433,13 +440,13 @@ let test_prof_json_roundtrip () =
   | Some r ->
     checkb "wall nonnegative" true (r.Profile.wall_ns >= 0L);
     checkb "stop disarms" true (Profile.stop () = None);
-    let json = Bench_report.of_string (Profile.to_json r) in
-    let str k j = Option.bind (Bench_report.member k j) Bench_report.to_str in
-    let num k j = Option.bind (Bench_report.member k j) Bench_report.to_float in
+    let json = J.parse (Profile.to_json r) in
+    let str k j = Option.bind (member k j) to_str in
+    let num k j = Option.bind (member k j) to_float in
     checkb "schema" true (str "schema" json = Some "bgp-prof/1");
     checkb "wall_s present" true (num "wall_s" json <> None);
     let domains =
-      match Option.bind (Bench_report.member "domains" json) Bench_report.to_list with
+      match Option.bind (member "domains" json) to_list with
       | Some (_ :: _ as l) -> l
       | _ -> Alcotest.fail "no domains array"
     in
@@ -447,7 +454,7 @@ let test_prof_json_roundtrip () =
       List.concat_map
         (fun d ->
           Option.value ~default:[]
-            (Option.bind (Bench_report.member "spans" d) Bench_report.to_list))
+            (Option.bind (member "spans" d) to_list))
         domains
     in
     checkb "compute span at shard 2 survives the round-trip" true
@@ -459,10 +466,10 @@ let test_prof_json_roundtrip () =
          (fun s -> str "span" s = Some "build" && num "shard" s = Some (-1.0))
          spans);
     (match
-       Option.bind (Bench_report.member "counters" json)
-         (Bench_report.member "test.high_water")
+       Option.bind (member "counters" json)
+         (member "test.high_water")
      with
-    | Some v -> checkb "counter_max keeps the max" true (Bench_report.to_float v = Some 7.0)
+    | Some v -> checkb "counter_max keeps the max" true (to_float v = Some 7.0)
     | None -> Alcotest.fail "counters object missing test.high_water");
     checkb "summarize labels the spans" true
       (List.exists
