@@ -77,8 +77,7 @@ let schedule_for cfg (s : Runner.scenario) =
 
 type probe = {
   result : Runner.result;
-  events : Trace.event list;
-  trace_dropped : int;
+  trace : Trace.t;
   leftover : (int * int * bool) list;  (* surviving routers with queued/busy work *)
   stale : (int * int * int) list;  (* (router, dest, dead peer) Adj-RIB-In entries *)
 }
@@ -114,30 +113,85 @@ let run_once ~capacity (s : Runner.scenario) schedule =
   let result = Runner.run_with ~inspect s in
   {
     result;
-    events = Trace.events trace;
-    trace_dropped = Trace.dropped trace;
+    trace;
     leftover = List.rev !leftover;
     stale = List.rev !stale;
   }
 
-(* A canonical, order-stable rendering of everything a replay must
-   reproduce: the scalar result fields plus every trace event.  Two runs
-   of the same (seed, schedule) must digest identically. *)
+(* Everything a replay must reproduce: a line of the scalar result
+   fields, then every trace event in the trace's binary encoding.  Two
+   runs of the same (seed, schedule) must digest identically. *)
 let probe_digest p =
   let r = p.result in
-  let buf = Buffer.create 4096 in
-  Printf.bprintf buf "c=%b wd=%.17g cd=%.17g m=%d a=%d w=%d wm=%d el=%d mq=%d ev=%d lost=%d sc=%b\n"
-    r.Runner.converged r.Runner.warmup_delay r.Runner.convergence_delay r.Runner.messages
-    r.Runner.adverts r.Runner.withdrawals r.Runner.warmup_messages r.Runner.eliminated
-    r.Runner.max_queue r.Runner.events r.Runner.lost_messages r.Runner.survivors_connected;
-  List.iter
-    (fun e ->
-      J.to_buffer buf (Trace.event_json e);
-      Buffer.add_char buf '\n')
-    p.events;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  let header =
+    Printf.sprintf
+      "c=%b wd=%.17g cd=%.17g m=%d a=%d w=%d wm=%d el=%d mq=%d ev=%d lost=%d sc=%b\n"
+      r.Runner.converged r.Runner.warmup_delay r.Runner.convergence_delay r.Runner.messages
+      r.Runner.adverts r.Runner.withdrawals r.Runner.warmup_messages r.Runner.eliminated
+      r.Runner.max_queue r.Runner.events r.Runner.lost_messages r.Runner.survivors_connected
+  in
+  Digest.to_hex (Trace.digest ~prefix:header p.trace)
 
 (* --- The invariant battery ----------------------------------------------- *)
+
+(* The trace half, in one pass over the complete record: every cause
+   precedes its effect in the trace's (time, id) order — the order
+   events are recorded in, so the cause must already have been seen —
+   the only post-failure roots are injections, and (once the network
+   drained) every traced send is delivered or accounted lost.  Router
+   events carry small per-router strided ids, one bit each in a bitset
+   that grows with the largest id seen; injected roots carry
+   preassigned ids from [Network.first_root_id] up. *)
+let check_trace ~t_fail ~lost trace =
+  let violations = ref [] in
+  let add invariant detail = violations := { invariant; detail } :: !violations in
+  let dropped = Trace.dropped trace in
+  if dropped > 0 then
+    add "trace_capacity" (Printf.sprintf "%d events dropped; raise --capacity" dropped)
+  else begin
+    let root = Network.first_root_id in
+    let bits = ref (Bytes.make 64 '\000') in
+    let roots = Hashtbl.create 16 in
+    let seen id =
+      if id >= root then Hashtbl.mem roots id
+      else
+        id / 8 < Bytes.length !bits
+        && Char.code (Bytes.get !bits (id / 8)) land (1 lsl (id mod 8)) <> 0
+    in
+    let mark id =
+      if id >= root then Hashtbl.replace roots id ()
+      else begin
+        let byte = id / 8 in
+        if byte >= Bytes.length !bits then
+          bits := Bytes.extend !bits 0 (Stdlib.max (byte + 1) (2 * Bytes.length !bits));
+        Bytes.set !bits byte
+          (Char.chr (Char.code (Bytes.get !bits byte) lor (1 lsl (id mod 8))))
+      end
+    in
+    let sent = ref 0 and delivered = ref 0 in
+    Trace.iter_rows trace (fun rows i ->
+        let id = Trace.row_id rows i and cause = Trace.row_cause rows i in
+        if cause >= 0 && not (seen cause) then
+          add "cause_order"
+            (Printf.sprintf "event #%d caused by #%d, which does not precede it" id cause);
+        mark id;
+        let kind = Trace.row_kind rows i in
+        (match kind with
+        | Trace.Kind.Update_sent -> incr sent
+        | Trace.Kind.Update_delivered -> incr delivered
+        | _ -> ());
+        match kind with
+        | Trace.Kind.Router_failed | Trace.Kind.Session_down | Trace.Kind.Fault -> ()
+        | _ ->
+          if cause = Trace.no_cause && Trace.row_time rows i >= t_fail then
+            add "orphan_root" (Fmt.str "%a" Trace.pp_event (Trace.row_event rows i)));
+    match lost with
+    | Some lost when !sent <> !delivered + lost ->
+      add "conservation"
+        (Printf.sprintf "sent %d <> delivered %d + lost %d" !sent !delivered lost)
+    | Some _ | None -> ()
+  end;
+  List.rev !violations
 
 let battery cfg ~probe ~schedule =
   let r = probe.result in
@@ -147,12 +201,17 @@ let battery cfg ~probe ~schedule =
     | None -> invalid_arg "Chaos.battery: trial was not traced"
   in
   let t_fail = attr.Attribution.t_fail in
+  (* 0. The trace half: the harness itself must have seen everything, and
+     the record must be causally sound.  Conservation is only meaningful
+     once the network drained. *)
+  let trace_violations =
+    check_trace ~t_fail
+      ~lost:(if r.Runner.converged then Some r.Runner.lost_messages else None)
+      probe.trace
+  in
+  let traced_all = Trace.dropped probe.trace = 0 in
   let violations = ref [] in
   let add invariant detail = violations := { invariant; detail } :: !violations in
-  (* 0. The harness itself must have seen everything. *)
-  if probe.trace_dropped > 0 then
-    add "trace_capacity"
-      (Printf.sprintf "%d events dropped; raise --capacity" probe.trace_dropped);
   (* 1. Convergence reached, or the trial is explicitly diagnosed. *)
   if not r.Runner.converged then
     add "converged"
@@ -167,8 +226,7 @@ let battery cfg ~probe ~schedule =
         (Printf.sprintf "components %.9f <> delay %.9f" sum
            attr.Attribution.convergence_delay)
   end
-  else if probe.trace_dropped = 0 then
-    add "attribution_complete" "critical path did not reach a causal root";
+  else if traced_all then add "attribution_complete" "critical path did not reach a causal root";
   List.iter
     (fun (d : Attribution.dest_attr) ->
       if d.Attribution.dest_complete then
@@ -178,63 +236,7 @@ let battery cfg ~probe ~schedule =
             (Printf.sprintf "dest %d: components %.9f <> tail %.9f"
                d.Attribution.dest sum d.Attribution.tail))
     attr.Attribution.per_dest;
-  (* 3. Causal hygiene over the whole trace: every cause precedes its
-     effect in the trace's (time, id) order — the order events are
-     recorded in, so the cause must already have been seen — and the
-     only post-failure roots are injections.  Router events carry small
-     per-router strided ids, one bit each; injected roots carry
-     preassigned ids from [Network.first_root_id] up. *)
-  if probe.trace_dropped = 0 then begin
-    let root = Network.first_root_id in
-    let top =
-      List.fold_left
-        (fun acc e ->
-          let id = Trace.id_of e in
-          if id < root then Stdlib.max acc id else acc)
-        0 probe.events
-    in
-    let bits = Bytes.make ((top / 8) + 1) '\000' in
-    let roots = Hashtbl.create 16 in
-    let seen id =
-      if id >= root then Hashtbl.mem roots id
-      else id <= top && Char.code (Bytes.get bits (id / 8)) land (1 lsl (id mod 8)) <> 0
-    in
-    let mark id =
-      if id >= root then Hashtbl.replace roots id ()
-      else
-        Bytes.set bits (id / 8)
-          (Char.chr (Char.code (Bytes.get bits (id / 8)) lor (1 lsl (id mod 8))))
-    in
-    List.iter
-      (fun e ->
-        let id = Trace.id_of e in
-        let cause = Trace.cause_of e in
-        if cause >= 0 && not (seen cause) then
-          add "cause_order"
-            (Printf.sprintf "event #%d caused by #%d, which does not precede it" id cause);
-        mark id;
-        if Trace.time_of e >= t_fail && cause = Trace.no_cause then
-          match e with
-          | Trace.Router_failed _ | Trace.Session_down _ | Trace.Fault _ -> ()
-          | _ -> add "orphan_root" (Fmt.str "%a" Trace.pp_event e))
-      probe.events
-  end;
-  (* 4. Conservation: every traced send is delivered or accounted lost.
-     Only meaningful once the network drained. *)
-  if r.Runner.converged && probe.trace_dropped = 0 then begin
-    let sent = ref 0 and delivered = ref 0 in
-    List.iter
-      (function
-        | Trace.Update_sent _ -> incr sent
-        | Trace.Update_delivered _ -> incr delivered
-        | _ -> ())
-      probe.events;
-    if !sent <> !delivered + r.Runner.lost_messages then
-      add "conservation"
-        (Printf.sprintf "sent %d <> delivered %d + lost %d" !sent !delivered
-           r.Runner.lost_messages)
-  end;
-  (* 5. Drained queues and no routes from dead routers at the end. *)
+  (* 3. Drained queues and no routes from dead routers at the end. *)
   if r.Runner.converged then
     List.iter
       (fun (router, q, busy) ->
@@ -247,24 +249,29 @@ let battery cfg ~probe ~schedule =
         (Printf.sprintf "router %d still holds dest %d from dead router %d" router dest
            peer))
     probe.stale;
-  (* 6. Self-test hook: an intentionally-seeded "violation" the minimizer
+  (* 4. Self-test hook: an intentionally-seeded "violation" the minimizer
      must find and reduce (gray links are one of five kinds, so most
      trials stay green and the campaign still exercises the green path). *)
   if
     cfg.seed_violation
     && List.exists (fun (e : Fi.event) -> Fi.kind_of_fault e.Fi.fault = "gray_link") schedule
   then add "seeded_violation" "intentional: schedule contains a gray_link fault";
-  List.rev !violations
+  trace_violations @ List.rev !violations
 
 (* --- Trials -------------------------------------------------------------- *)
+
+(* One traced run, reduced to what outlives its trace: the result, the
+   digest and the battery's verdict.  The trace is garbage once this
+   returns, so a replay never holds two traces at once. *)
+let probe_and_check cfg s schedule =
+  let probe = run_once ~capacity:cfg.capacity s schedule in
+  (probe.result, probe_digest probe, battery cfg ~probe ~schedule)
 
 let run_trial cfg i =
   let trial_seed = cfg.base.Runner.seed + i in
   let s = { cfg.base with Runner.seed = trial_seed } in
   let schedule = schedule_for cfg s in
-  let probe = run_once ~capacity:cfg.capacity s schedule in
-  let digest = probe_digest probe in
-  let violations = battery cfg ~probe ~schedule in
+  let result, digest, violations = probe_and_check cfg s schedule in
   let violations =
     if cfg.replay_every > 0 && i mod cfg.replay_every = 0 then begin
       let again = probe_digest (run_once ~capacity:cfg.capacity s schedule) in
@@ -284,7 +291,7 @@ let run_trial cfg i =
      written atomically so a live `bgpsim serve` watcher folds it the
      moment it lands.  Chaos trials spill no trace file — the sidecar is
      the only (and sufficient) per-trial artifact for merging. *)
-  (match (cfg.sidecar_dir, probe.result.Runner.attribution) with
+  (match (cfg.sidecar_dir, result.Runner.attribution) with
   | Some dir, Some attr ->
     (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
     let names =
@@ -299,10 +306,10 @@ let run_trial cfg i =
     trial_seed;
     schedule;
     kinds = Fi.kinds schedule;
-    converged = probe.result.Runner.converged;
-    convergence_delay = probe.result.Runner.convergence_delay;
-    messages = probe.result.Runner.messages;
-    lost = probe.result.Runner.lost_messages;
+    converged = result.Runner.converged;
+    convergence_delay = result.Runner.convergence_delay;
+    messages = result.Runner.messages;
+    lost = result.Runner.lost_messages;
     digest;
     violations;
   }

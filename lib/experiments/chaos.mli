@@ -38,8 +38,8 @@ type outcome = {
   messages : int;
   lost : int;
   digest : string;
-      (** hex digest of the result fields + every trace event — the
-          replay-identity witness *)
+      (** hex {!Bgp_netsim.Trace.digest} of a line of the result fields
+          followed by every trace event — the replay-identity witness *)
   violations : violation list;  (** empty = all invariants green *)
 }
 
@@ -96,6 +96,15 @@ val config :
 
 val schedule_for : config -> Bgp_netsim.Runner.scenario -> Bgp_netsim.Fault_injector.schedule
 (** The schedule trial seed [s.seed] derives (pure; exposed for tests). *)
+
+val check_trace :
+  t_fail:float -> lost:int option -> Bgp_netsim.Trace.t -> violation list
+(** The battery's trace half, in one pass over the trace's complete
+    record: [trace_capacity] when the ring dropped events (and then
+    nothing else), else [cause_order] and [orphan_root] per offending
+    event, in trace order, and [conservation] against [lost] in-flight
+    losses when [lost] is given (the battery gives it only once the run
+    drained). *)
 
 val run_trial : config -> int -> outcome
 (** Run trial [i] (seed [base.seed + i]): derive the schedule, run

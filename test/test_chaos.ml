@@ -289,6 +289,84 @@ let test_read_file_errors () =
   | Ok (Some _, _) -> Alcotest.fail "bare spill has no meta line"
   | Error m -> Alcotest.failf "bare spill must read back: %s" m
 
+(* --- (5) the battery's trace half on hand-built traces ------------------ *)
+
+(* A causally clean post-failure story: an injected fault root, the
+   session drop it causes, the peer-down work, the withdrawal it sends
+   and that withdrawal's delivery — all after [t_fail] = 1. *)
+let root = Network.first_root_id
+
+let clean_events =
+  [
+    Trace.Update_sent
+      { id = 3; time = 0.5; src = 0; dst = 1; update = Bgp_proto.Types.Withdraw 4; cause = Trace.no_cause };
+    Trace.Update_delivered
+      { id = 4; time = 0.6; src = 0; dst = 1; update = Bgp_proto.Types.Withdraw 4; cause = 3 };
+    Trace.Fault { id = root; time = 1.0; label = "partition"; router = 2; cause = Trace.no_cause };
+    Trace.Session_down { id = 10; time = 1.1; router = 2; peer = 3; cause = root };
+    Trace.Processed
+      { id = 12; time = 1.2; router = 2; src = 3; dest = -1; enqueued = 1.1; started = 1.15; cause = 10 };
+    Trace.Update_sent
+      { id = 22; time = 1.2; src = 2; dst = 5; update = Bgp_proto.Types.Withdraw 7; cause = 12 };
+    Trace.Update_delivered
+      { id = 25; time = 1.3; src = 2; dst = 5; update = Bgp_proto.Types.Withdraw 7; cause = 22 };
+  ]
+
+let trace_of ?(capacity = 100) events =
+  let t = Trace.create ~capacity () in
+  List.iter (Trace.record t) events;
+  t
+
+let tripped events ?capacity ~lost () =
+  List.map
+    (fun v -> v.Chaos.invariant)
+    (Chaos.check_trace ~t_fail:1.0 ~lost (trace_of ?capacity events))
+
+let names = Alcotest.(list string)
+
+let test_check_trace_clean () =
+  Alcotest.check names "a clean trace trips nothing" [] (tripped clean_events ~lost:(Some 0) ())
+
+let test_check_trace_cause_order () =
+  (* A same-time batch appended in reverse id order — what a broken
+     flush sort produces: #22 names #12 as its cause but lands first. *)
+  let reversed =
+    List.concat_map
+      (function
+        | Trace.Processed { id = 12; _ } -> []
+        | Trace.Update_sent { id = 22; _ } as sent ->
+          [ sent; List.find (function Trace.Processed _ -> true | _ -> false) clean_events ]
+        | e -> [ e ])
+      clean_events
+  in
+  Alcotest.check names "reversed same-time batch" [ "cause_order" ]
+    (tripped reversed ~lost:(Some 0) ())
+
+let test_check_trace_orphan_root () =
+  let orphan =
+    Trace.Processed
+      { id = 30; time = 1.4; router = 6; src = 2; dest = 7; enqueued = 1.3; started = 1.35;
+        cause = Trace.no_cause }
+  in
+  Alcotest.check names "post-failure root that is no injection" [ "orphan_root" ]
+    (tripped (clean_events @ [ orphan ]) ~lost:(Some 0) ())
+
+let test_check_trace_conservation () =
+  let unmatched =
+    Trace.Update_sent
+      { id = 32; time = 1.4; src = 2; dst = 6; update = Bgp_proto.Types.Withdraw 7; cause = 12 }
+  in
+  Alcotest.check names "a send neither delivered nor lost" [ "conservation" ]
+    (tripped (clean_events @ [ unmatched ]) ~lost:(Some 0) ());
+  Alcotest.check names "the same send, accounted lost" []
+    (tripped (clean_events @ [ unmatched ]) ~lost:(Some 1) ());
+  Alcotest.check names "no conservation check before the run drained" []
+    (tripped (clean_events @ [ unmatched ]) ~lost:None ())
+
+let test_check_trace_capacity () =
+  Alcotest.check names "a ring that dropped events" [ "trace_capacity" ]
+    (tripped clean_events ~capacity:4 ~lost:(Some 0) ())
+
 let () =
   Alcotest.run "chaos"
     [
@@ -313,6 +391,14 @@ let () =
             test_campaign_green;
           Alcotest.test_case "seeded violation minimized to <= 3 events" `Quick
             test_minimizer_self_test;
+        ] );
+      ( "trace battery",
+        [
+          Alcotest.test_case "clean trace trips nothing" `Quick test_check_trace_clean;
+          Alcotest.test_case "cause_order" `Quick test_check_trace_cause_order;
+          Alcotest.test_case "orphan_root" `Quick test_check_trace_orphan_root;
+          Alcotest.test_case "conservation" `Quick test_check_trace_conservation;
+          Alcotest.test_case "trace_capacity" `Quick test_check_trace_capacity;
         ] );
       ( "trace file robustness",
         [

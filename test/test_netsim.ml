@@ -529,6 +529,360 @@ let test_trace_records_network_events () =
       (Trace.between trace ~lo:time ~hi:infinity <> [])
   | None -> Alcotest.fail "no failure event"
 
+(* --- Columnar ring against a plain-list model ---------------------------- *)
+
+module Path = Bgp_proto.Path
+
+(* One path table for every generated advertisement. *)
+let gen_paths = Path.create_table ()
+
+let gen_time = QCheck.Gen.(oneof [ float_range 0.0 50.0; map float_of_int (int_range 0 8) ])
+let gen_node = QCheck.Gen.int_range (-1) 40
+let gen_id = QCheck.Gen.(oneof [ int_range 0 1_000; map (fun k -> (1 lsl 50) + k) (int_range 0 9) ])
+
+let gen_update =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun d -> Types.Withdraw d) (int_range 0 30);
+        map2
+          (fun d hops -> Types.Advertise { dest = d; path = Path.of_list gen_paths hops })
+          (int_range 0 30)
+          (list_size (int_range 0 5) (int_range 0 30));
+      ])
+
+let gen_label =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ "partition"; "heal"; "session_reset"; "churn_announce"; "" ];
+        string_size ~gen:printable (int_range 0 6);
+      ])
+
+let gen_event =
+  let open QCheck.Gen in
+  let* id = gen_id and* time = gen_time and* cause = gen_id in
+  let* a = gen_node and* b = gen_node and* c = gen_node in
+  let* x = gen_time and* y = gen_time in
+  let* update = gen_update and* label = gen_label in
+  oneofl
+    [
+      Trace.Update_sent { id; time; src = a; dst = b; update; cause };
+      Trace.Update_delivered { id; time; src = a; dst = b; update; cause };
+      Trace.Processed { id; time; router = a; src = b; dest = c; enqueued = x; started = y; cause };
+      Trace.Mrai_flush { id; time; router = a; peer = b; dest = c; ready = x; cause };
+      Trace.Router_failed { id; time; router = a };
+      Trace.Session_down { id; time; router = a; peer = b; cause };
+      Trace.Session_up { id; time; router = a; peer = b; cause };
+      Trace.Fault { id; time; label; router = a; cause };
+    ]
+
+type ring_op = Record of Trace.event | Clear | Finalize
+
+let pp_op = function
+  | Record e -> Trace.event_to_json e
+  | Clear -> "clear"
+  | Finalize -> "finalize"
+
+let arb_ring_case =
+  QCheck.make
+    ~print:(fun (cap, spill, ops) ->
+      Printf.sprintf "capacity %d, spill %b:\n%s" cap spill
+        (String.concat "\n" (List.map pp_op ops)))
+    QCheck.Gen.(
+      triple (int_range 1 8) bool
+        (list_size (int_range 0 40)
+           (frequency [ (12, map (fun e -> Record e) gen_event); (1, return Clear); (1, return Finalize) ])))
+
+(* The ring's documented behaviour over plain lists: the last [capacity]
+   events in memory, evictions spilled while the sink is open (else
+   dropped), [clear] truncating (or, once finalized, deleting) the file,
+   [finalize] appending the tail and a meta line and closing the sink. *)
+type model = {
+  mutable mem : Trace.event list;  (* oldest first *)
+  mutable file : string list option;  (* spill lines, oldest first *)
+  mutable sink_open : bool;
+  mutable m_dropped : int;
+  mutable m_spilled : int;
+}
+
+let meta = { Trace.seed = 7; t_fail = 1.5 }
+
+let model_step cap m = function
+  | Record e ->
+    if List.length m.mem = cap then begin
+      let oldest = List.hd m.mem in
+      m.mem <- List.tl m.mem;
+      if m.sink_open then begin
+        m.file <- Some (Option.value ~default:[] m.file @ [ Trace.event_to_json oldest ]);
+        m.m_spilled <- m.m_spilled + 1
+      end
+      else m.m_dropped <- m.m_dropped + 1
+    end;
+    m.mem <- m.mem @ [ e ]
+  | Clear ->
+    m.mem <- [];
+    m.m_dropped <- 0;
+    m.m_spilled <- 0;
+    if m.file <> None || m.sink_open then m.file <- (if m.sink_open then Some [] else None)
+  | Finalize ->
+    m.sink_open <- false;
+    m.file <-
+      Some
+        (Option.value ~default:[] m.file
+        @ List.map Trace.event_to_json m.mem
+        @ [ Trace.meta_to_json meta ]);
+    m.mem <- []
+
+let read_bytes path =
+  if not (Sys.file_exists path) then None
+  else
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> Some (really_input_string ic (in_channel_length ic)))
+
+let jsons = List.map Trace.event_to_json
+
+let prop_ring_matches_model =
+  QCheck.Test.make ~count:300 ~name:"columnar ring matches a list model" arb_ring_case
+    (fun (cap, spill, ops) ->
+      let path = if spill then Some (Filename.temp_file "bgpsim_ring" ".jsonl") else None in
+      let t = Trace.create ~capacity:cap ?spill:path () in
+      let m =
+        { mem = []; file = (if spill then Some [] else None); sink_open = spill; m_dropped = 0; m_spilled = 0 }
+      in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let check step =
+        let spilled_events =
+          match m.file with
+          | None -> []
+          | Some lines ->
+            List.filter (fun l -> not (String.starts_with ~prefix:"{\"type\":\"meta\"" l)) lines
+        in
+        if jsons (Trace.to_list t) <> jsons m.mem then fail "%s: to_list" step;
+        if jsons (Trace.events t) <> spilled_events @ jsons m.mem then fail "%s: events" step;
+        let rows = ref [] in
+        Trace.iter_rows t (fun r i -> rows := Trace.row_event r i :: !rows);
+        if jsons (List.rev !rows) <> spilled_events @ jsons m.mem then fail "%s: iter_rows" step;
+        if Trace.length t <> List.length m.mem then fail "%s: length" step;
+        if Trace.dropped t <> m.m_dropped then fail "%s: dropped %d <> %d" step (Trace.dropped t) m.m_dropped;
+        if Trace.spilled t <> m.m_spilled then fail "%s: spilled" step;
+        let lo = 2.0 and hi = 6.0 in
+        let within e = Trace.time_of e >= lo && Trace.time_of e < hi in
+        if jsons (Trace.between t ~lo ~hi) <> jsons (List.filter within m.mem) then
+          fail "%s: between" step;
+        let is_fault = function Trace.Fault _ -> true | _ -> false in
+        if Trace.count t ~pred:is_fault <> List.length (List.filter is_fault m.mem) then
+          fail "%s: count" step;
+        let sends = Hashtbl.create 8 in
+        List.iter
+          (function
+            | Trace.Update_sent { src; _ } ->
+              Hashtbl.replace sends src (1 + Option.value ~default:0 (Hashtbl.find_opt sends src))
+            | _ -> ())
+          m.mem;
+        let canon l = List.sort (fun (r, c) (r', c') -> compare (-c, r) (-c', r')) l in
+        if
+          canon (Trace.sends_by_router t)
+          <> canon (Hashtbl.fold (fun r c acc -> (r, c) :: acc) sends [])
+        then fail "%s: sends_by_router" step;
+        match path with
+        | None -> ()
+        | Some p ->
+          let want = Option.map (fun l -> String.concat "" (List.map (fun s -> s ^ "\n") l)) m.file in
+          if read_bytes p <> want then fail "%s: spilled JSONL bytes" step
+      in
+      check "start";
+      List.iteri
+        (fun i op ->
+          (match op with
+          | Record e -> Trace.record t e
+          | Clear -> Trace.clear t
+          | Finalize -> (
+            match path with
+            | Some _ -> Trace.finalize t ~meta
+            | None -> (
+              match Trace.finalize t ~meta with
+              | () -> fail "finalize without a spill file must raise"
+              | exception Invalid_argument _ -> ())));
+          (match (op, path) with Finalize, None -> () | _ -> model_step cap m op);
+          check (Printf.sprintf "after op %d (%s)" i (pp_op op)))
+        ops;
+      Trace.close t;
+      Option.iter (fun p -> if Sys.file_exists p then Sys.remove p) path;
+      true)
+
+(* --- The structural digest ------------------------------------------------ *)
+
+let digest_of ?(capacity = 1_000) ?spill events =
+  let t = Trace.create ~capacity ?spill () in
+  List.iter (Trace.record t) events;
+  let d = Trace.digest t in
+  Trace.close t;
+  d
+
+let bump_hop = function
+  | [] -> [ 0 ]
+  | h :: rest -> (h + 1) :: rest
+
+(* Every single-field change of [e]: +1 on an int, one ulp on a float,
+   one hop of a path, one byte of a label, and the kind swaps that keep
+   the fields (sent/delivered, down/up, advertise/withdraw). *)
+let perturbations e =
+  let upd_variants = function
+    | Types.Withdraw d ->
+      [ Types.Withdraw (d + 1); Types.Advertise { dest = d; path = Path.empty } ]
+    | Types.Advertise { dest; path } ->
+      let hops = Path.hops path in
+      let last_bumped =
+        match List.rev hops with [] -> [ 0 ] | h :: rest -> List.rev ((h + 1) :: rest)
+      in
+      [
+        Types.Withdraw dest;
+        Types.Advertise { dest = dest + 1; path };
+        Types.Advertise { dest; path = Path.of_list gen_paths (bump_hop hops) };
+        Types.Advertise { dest; path = Path.of_list gen_paths last_bumped };
+      ]
+  in
+  let label_variants l =
+    if l = "" then [ "a" ]
+    else
+      [
+        String.mapi (fun i c -> if i = 0 then Char.chr (Char.code c lxor 1) else c) l;
+        String.mapi
+          (fun i c -> if i = String.length l - 1 then Char.chr (Char.code c lxor 1) else c)
+          l;
+      ]
+  in
+  let ulp = Float.succ in
+  match e with
+  | Trace.Update_sent { id; time; src; dst; update; cause } ->
+    let mk ?(id = id) ?(time = time) ?(src = src) ?(dst = dst) ?(update = update) ?(cause = cause) () =
+      Trace.Update_sent { id; time; src; dst; update; cause }
+    in
+    [ mk ~id:(id + 1) (); mk ~time:(ulp time) (); mk ~src:(src + 1) (); mk ~dst:(dst + 1) ();
+      mk ~cause:(cause + 1) (); Trace.Update_delivered { id; time; src; dst; update; cause } ]
+    @ List.map (fun update -> mk ~update ()) (upd_variants update)
+  | Trace.Update_delivered { id; time; src; dst; update; cause } ->
+    let mk ?(id = id) ?(time = time) ?(src = src) ?(dst = dst) ?(update = update) ?(cause = cause) () =
+      Trace.Update_delivered { id; time; src; dst; update; cause }
+    in
+    [ mk ~id:(id + 1) (); mk ~time:(ulp time) (); mk ~src:(src + 1) (); mk ~dst:(dst + 1) ();
+      mk ~cause:(cause + 1) (); Trace.Update_sent { id; time; src; dst; update; cause } ]
+    @ List.map (fun update -> mk ~update ()) (upd_variants update)
+  | Trace.Processed { id; time; router; src; dest; enqueued; started; cause } ->
+    let mk ?(id = id) ?(time = time) ?(router = router) ?(src = src) ?(dest = dest)
+        ?(enqueued = enqueued) ?(started = started) ?(cause = cause) () =
+      Trace.Processed { id; time; router; src; dest; enqueued; started; cause }
+    in
+    [ mk ~id:(id + 1) (); mk ~time:(ulp time) (); mk ~router:(router + 1) ();
+      mk ~src:(src + 1) (); mk ~dest:(dest + 1) (); mk ~enqueued:(ulp enqueued) ();
+      mk ~started:(ulp started) (); mk ~cause:(cause + 1) () ]
+  | Trace.Mrai_flush { id; time; router; peer; dest; ready; cause } ->
+    let mk ?(id = id) ?(time = time) ?(router = router) ?(peer = peer) ?(dest = dest)
+        ?(ready = ready) ?(cause = cause) () =
+      Trace.Mrai_flush { id; time; router; peer; dest; ready; cause }
+    in
+    [ mk ~id:(id + 1) (); mk ~time:(ulp time) (); mk ~router:(router + 1) ();
+      mk ~peer:(peer + 1) (); mk ~dest:(dest + 1) (); mk ~ready:(ulp ready) ();
+      mk ~cause:(cause + 1) () ]
+  | Trace.Router_failed { id; time; router } ->
+    [ Trace.Router_failed { id = id + 1; time; router };
+      Trace.Router_failed { id; time = ulp time; router };
+      Trace.Router_failed { id; time; router = router + 1 } ]
+  | Trace.Session_down { id; time; router; peer; cause } ->
+    let mk ?(id = id) ?(time = time) ?(router = router) ?(peer = peer) ?(cause = cause) () =
+      Trace.Session_down { id; time; router; peer; cause }
+    in
+    [ mk ~id:(id + 1) (); mk ~time:(ulp time) (); mk ~router:(router + 1) ();
+      mk ~peer:(peer + 1) (); mk ~cause:(cause + 1) ();
+      Trace.Session_up { id; time; router; peer; cause } ]
+  | Trace.Session_up { id; time; router; peer; cause } ->
+    let mk ?(id = id) ?(time = time) ?(router = router) ?(peer = peer) ?(cause = cause) () =
+      Trace.Session_up { id; time; router; peer; cause }
+    in
+    [ mk ~id:(id + 1) (); mk ~time:(ulp time) (); mk ~router:(router + 1) ();
+      mk ~peer:(peer + 1) (); mk ~cause:(cause + 1) ();
+      Trace.Session_down { id; time; router; peer; cause } ]
+  | Trace.Fault { id; time; label; router; cause } ->
+    let mk ?(id = id) ?(time = time) ?(label = label) ?(router = router) ?(cause = cause) () =
+      Trace.Fault { id; time; label; router; cause }
+    in
+    [ mk ~id:(id + 1) (); mk ~time:(ulp time) (); mk ~router:(router + 1) ();
+      mk ~cause:(cause + 1) () ]
+    @ List.map (fun label -> mk ~label ()) (label_variants label)
+
+let arb_events =
+  QCheck.make
+    ~print:(fun es -> String.concat "\n" (jsons es))
+    QCheck.Gen.(list_size (int_range 1 6) gen_event)
+
+let prop_digest_sees_every_field =
+  QCheck.Test.make ~count:200 ~name:"perturbing any one field changes the digest" arb_events
+    (fun events ->
+      let base = digest_of events in
+      List.iteri
+        (fun i e ->
+          List.iter
+            (fun e' ->
+              let events' = List.mapi (fun j x -> if j = i then e' else x) events in
+              if digest_of events' = base then
+                QCheck.Test.fail_reportf "digest unchanged by %s -> %s"
+                  (Trace.event_to_json e) (Trace.event_to_json e'))
+            (perturbations e))
+        events;
+      true)
+
+let prop_digest_capacity_free =
+  QCheck.Test.make ~count:100 ~name:"digest is independent of ring capacity and spill"
+    QCheck.(pair (int_range 1 8) (make QCheck.Gen.(list_size (int_range 0 40) gen_event)))
+    (fun (cap, events) ->
+      let n = List.length events in
+      let spill = Filename.temp_file "bgpsim_digest" ".jsonl" in
+      let spilled = digest_of ~capacity:cap ~spill events in
+      Sys.remove spill;
+      digest_of ~capacity:(n + 1) events = spilled
+      && digest_of ~capacity:(Stdlib.max 1 n) events = spilled)
+
+(* Big enough to cross the 64 KiB hashing chunk several times, plus one
+   label longer than a chunk, so the chunk chaining is exercised. *)
+let test_digest_across_chunks () =
+  let events =
+    List.init 4_000 (fun i ->
+        Trace.Processed
+          {
+            id = i;
+            time = float_of_int i *. 0.001;
+            router = i mod 17;
+            src = i mod 5;
+            dest = i mod 11;
+            enqueued = 0.5;
+            started = 0.75;
+            cause = i - 1;
+          })
+    @ [ Trace.Fault { id = 1 lsl 50; time = 9.0; label = String.make 70_000 'x'; router = 1; cause = -1 } ]
+  in
+  let spill = Filename.temp_file "bgpsim_digest" ".jsonl" in
+  let spilled = digest_of ~capacity:100 ~spill events in
+  Sys.remove spill;
+  let whole = digest_of ~capacity:10_000 events in
+  Alcotest.(check string) "spilled and in-memory rings digest alike" (Digest.to_hex whole)
+    (Digest.to_hex spilled);
+  let late_byte =
+    List.map
+      (function
+        | Trace.Fault f -> Trace.Fault { f with label = String.make 69_999 'x' ^ "y" }
+        | e -> e)
+      events
+  in
+  checkb "a byte past the first chunk of a label counts" true
+    (digest_of ~capacity:10_000 late_byte <> whole);
+  checkb "the prefix counts" true
+    (let t = Trace.create () in
+     List.iter (Trace.record t) events;
+     Trace.digest ~prefix:"a" t <> Trace.digest ~prefix:"b" t)
+
 (* --- Multiple prefixes per AS (Section 5 scaling argument) ----------------- *)
 
 let test_prefixes_per_as_routes () =
@@ -823,7 +1177,12 @@ let () =
           Alcotest.test_case "clear resets" `Quick test_trace_clear_resets;
           Alcotest.test_case "records network events" `Quick
             test_trace_records_network_events;
-        ] );
+          Alcotest.test_case "digest across hashing chunks" `Quick test_digest_across_chunks;
+        ]
+        @ List.map
+            (QCheck_alcotest.to_alcotest ~long:false ~rand:(Random.State.make [| 16 |]))
+            [ prop_ring_matches_model; prop_digest_sees_every_field; prop_digest_capacity_free ]
+      );
       ( "prefixes",
         [
           Alcotest.test_case "routes for every prefix" `Quick test_prefixes_per_as_routes;
