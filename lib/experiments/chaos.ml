@@ -162,29 +162,32 @@ let check_trace ~t_fail ~lost trace =
       if id >= root then Hashtbl.replace roots id ()
       else begin
         let byte = id / 8 in
-        if byte >= Bytes.length !bits then
-          bits := Bytes.extend !bits 0 (Stdlib.max (byte + 1) (2 * Bytes.length !bits));
+        let len = Bytes.length !bits in
+        if byte >= len then begin
+          let grown = Bytes.make (Stdlib.max (byte + 1) (2 * len)) '\000' in
+          Bytes.blit !bits 0 grown 0 len;
+          bits := grown
+        end;
         Bytes.set !bits byte
           (Char.chr (Char.code (Bytes.get !bits byte) lor (1 lsl (id mod 8))))
       end
     in
     let sent = ref 0 and delivered = ref 0 in
-    Trace.iter_rows trace (fun rows i ->
-        let id = Trace.row_id rows i and cause = Trace.row_cause rows i in
+    Trace.iter trace (fun e ->
+        let id = Trace.id_of e and cause = Trace.cause_of e in
         if cause >= 0 && not (seen cause) then
           add "cause_order"
             (Printf.sprintf "event #%d caused by #%d, which does not precede it" id cause);
         mark id;
-        let kind = Trace.row_kind rows i in
-        (match kind with
-        | Trace.Kind.Update_sent -> incr sent
-        | Trace.Kind.Update_delivered -> incr delivered
+        (match e with
+        | Trace.Update_sent _ -> incr sent
+        | Trace.Update_delivered _ -> incr delivered
         | _ -> ());
-        match kind with
-        | Trace.Kind.Router_failed | Trace.Kind.Session_down | Trace.Kind.Fault -> ()
+        match e with
+        | Trace.Router_failed _ | Trace.Session_down _ | Trace.Fault _ -> ()
         | _ ->
-          if cause = Trace.no_cause && Trace.row_time rows i >= t_fail then
-            add "orphan_root" (Fmt.str "%a" Trace.pp_event (Trace.row_event rows i)));
+          if cause = Trace.no_cause && Trace.time_of e >= t_fail then
+            add "orphan_root" (Fmt.str "%a" Trace.pp_event e));
     match lost with
     | Some lost when !sent <> !delivered + lost ->
       add "conservation"

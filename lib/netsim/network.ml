@@ -53,7 +53,7 @@ let msg_compare a b =
     if c <> 0 then c else Int.compare a.m_seq b.m_seq
 
 (* Everything one shard's domain owns: its scheduler (inside the
-   executor), its path-interning table, the trace rows it staged since
+   executor), its path-interning table, the trace events it recorded since
    the last flush, its counters, and its replica of the fault tables.
    Fault events are replicated into every shard's scheduler, so each
    replica of the severed/factor/loss/skew tables evolves identically — a
@@ -62,7 +62,7 @@ let msg_compare a b =
 type shard_ctx = {
   ssched : Sched.t;
   spaths : Bgp_proto.Path.table;
-  s_stage : Trace.Stage.t;  (* strided ids, in execution order *)
+  mutable s_events : Trace.event list;  (* strided ids, newest first *)
   mutable s_adverts : int;
   mutable s_withdrawals : int;
   mutable s_session_downs : int;
@@ -209,17 +209,42 @@ let fresh_sid t r =
 
 let first_root_id = 1 lsl 50
 
-(* Move every shard's staged rows with [time < horizon] into the run's
-   trace.  No shard can still record an event earlier than the global
-   next-event time, so flushing below it at each window barrier feeds
-   the trace in global (time, strided id) order — a layout-free order,
-   identical for every shard count.  Rows keep their strided ids, so a
-   cause whose event the ring later drops still names it and attribution
-   sees the chain as broken.  The run's trace does all ring, drop and
-   spill accounting: a traced run holds one copy of its events. *)
+let record_on ctx event = ctx.s_events <- event :: ctx.s_events
+
+let by_time_id a b =
+  let c = Float.compare (Trace.time_of a) (Trace.time_of b) in
+  if c <> 0 then c else Int.compare (Trace.id_of a) (Trace.id_of b)
+
+(* Move every shard's recorded events with [time < horizon] into the
+   run's trace.  No shard can still record an event earlier than the
+   global next-event time, so flushing below it at each window barrier
+   feeds the trace in global (time, strided id) order — a layout-free
+   order, identical for every shard count.  Events keep their strided
+   ids, so a cause whose event the ring later drops still names it and
+   attribution sees the chain as broken.  The run's trace does all
+   ring, drop and spill accounting: a traced run holds one copy of its
+   events. *)
 let flush_trace t trace ~horizon =
   let t0 = if Profile.on () then Profile.now_ns () else 0L in
-  Trace.Stage.flush trace (Array.map (fun c -> c.s_stage) t.ctxs) ~horizon;
+  let ready = ref [] in
+  Array.iter
+    (fun ctx ->
+      match ctx.s_events with
+      | [] -> ()
+      | evs ->
+        if List.for_all (fun e -> Trace.time_of e < horizon) evs then begin
+          ctx.s_events <- [];
+          ready := List.rev_append evs !ready
+        end
+        else begin
+          let now, later = List.partition (fun e -> Trace.time_of e < horizon) evs in
+          ctx.s_events <- later;
+          ready := List.rev_append now !ready
+        end)
+    t.ctxs;
+  (match !ready with
+  | [] -> ()
+  | evs -> List.iter (Trace.record trace) (List.stable_sort by_time_id evs));
   if Profile.on () then Profile.accum Merge t0
 
 let next_event_time t =
@@ -299,7 +324,7 @@ let build ?(shards = 1) ?owner ?lookahead ~rng ~config ?telemetry topo =
         {
           ssched = Shard_exec.sched exec sx;
           spaths = Bgp_proto.Path.create_table ();
-          s_stage = Trace.Stage.create ();
+          s_events = [];
           s_adverts = 0;
           s_withdrawals = 0;
           s_session_downs = 0;
@@ -343,14 +368,16 @@ let build ?(shards = 1) ?owner ?lookahead ~rng ~config ?telemetry topo =
       Router.on_processed =
         (fun ~router ~src ~dest ~enqueued ~started ~cause ->
           let id = fresh_sid !net router in
-          Trace.Stage.processed ctx.s_stage ~id ~time:(Sched.now ctx.ssched) ~router ~src
-            ~dest ~enqueued ~started ~cause;
+          record_on ctx
+            (Trace.Processed
+               { id; time = Sched.now ctx.ssched; router; src; dest; enqueued; started; cause });
           id);
       on_mrai_flush =
         (fun ~router ~peer ~dest ~ready ~cause ->
           let id = fresh_sid !net router in
-          Trace.Stage.mrai_flush ctx.s_stage ~id ~time:(Sched.now ctx.ssched) ~router ~peer
-            ~dest ~ready ~cause;
+          record_on ctx
+            (Trace.Mrai_flush
+               { id; time = Sched.now ctx.ssched; router; peer; dest; ready; cause });
           id);
     }
   in
@@ -380,8 +407,16 @@ let build ?(shards = 1) ?owner ?lookahead ~rng ~config ?telemetry topo =
       if not traced then Trace.no_cause
       else begin
         let id = fresh_sid t src in
-        Trace.Stage.update_sent ctx.s_stage ~id ~time:(Sched.now ctx.ssched) ~src ~dst ~update
-          ~cause:(Router.current_cause t.routers.(src));
+        record_on ctx
+          (Trace.Update_sent
+             {
+               id;
+               time = Sched.now ctx.ssched;
+               src;
+               dst;
+               update;
+               cause = Router.current_cause t.routers.(src);
+             });
         id
       end
     in
@@ -416,8 +451,16 @@ let build ?(shards = 1) ?owner ?lookahead ~rng ~config ?telemetry topo =
              if not traced then Router.receive t.routers.(m.m_dst) ~src:m.m_src update
              else begin
                let id = fresh_sid t m.m_dst in
-               Trace.Stage.update_delivered ctx.s_stage ~id ~time:(Sched.now ctx.ssched)
-                 ~src:m.m_src ~dst:m.m_dst ~update ~cause:m.m_sent_id;
+               record_on ctx
+                 (Trace.Update_delivered
+                    {
+                      id;
+                      time = Sched.now ctx.ssched;
+                      src = m.m_src;
+                      dst = m.m_dst;
+                      update;
+                      cause = m.m_sent_id;
+                    });
                Router.receive t.routers.(m.m_dst) ~cause:id ~src:m.m_src update
              end))
   in
@@ -516,16 +559,16 @@ let notify_session t ~dir ~cause ~time a b =
              if Option.is_none t.trace then Router.peer_down t.routers.(a) b
              else begin
                let id = fresh_sid t a in
-               Trace.Stage.session_down ctx.s_stage ~id ~time:(Sched.now ctx.ssched) ~router:a
-                 ~peer:b ~cause;
+               record_on ctx
+                 (Trace.Session_down { id; time = Sched.now ctx.ssched; router = a; peer = b; cause });
                Router.peer_down t.routers.(a) ~cause:id b
              end
            | `Up ->
              if Option.is_none t.trace then Router.peer_up t.routers.(a) b
              else begin
                let id = fresh_sid t a in
-               Trace.Stage.session_up ctx.s_stage ~id ~time:(Sched.now ctx.ssched) ~router:a
-                 ~peer:b ~cause;
+               record_on ctx
+                 (Trace.Session_up { id; time = Sched.now ctx.ssched; router = a; peer = b; cause });
                Router.peer_up t.routers.(a) ~cause:id b
              end))
 
@@ -540,7 +583,7 @@ let inject_failure t ~at failure =
       if Option.is_some t.trace then begin
         let id = fresh_sid t r in
         fail_ids.(r) <- id;
-        Trace.Stage.router_failed t.ctxs.(t.owner.(r)).s_stage ~id ~time:at ~router:r
+        record_on t.ctxs.(t.owner.(r)) (Trace.Router_failed { id; time = at; router = r })
       end;
       Router.fail t.routers.(r)
     end
@@ -588,7 +631,7 @@ let require_faults t =
 let record_fault t ~shard ~id ~label ~router ~cause =
   if Option.is_some t.trace && t.owner.(router) = shard then
     let ctx = t.ctxs.(shard) in
-    Trace.Stage.fault ctx.s_stage ~id ~time:(Sched.now ctx.ssched) ~label ~router ~cause
+    record_on ctx (Trace.Fault { id; time = Sched.now ctx.ssched; label; router; cause })
 
 let notify_replica t ~shard ~dir ~cause a b =
   if t.owner.(a) = shard && not t.failed.(a) then

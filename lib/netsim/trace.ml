@@ -310,262 +310,11 @@ let meta_of_json line =
     let obj = J.obj (J.parse line) in
     { seed = J.int (J.field obj "seed"); t_fail = J.float (J.field obj "t_fail") }
 
-(* --- Columnar rows ------------------------------------------------------- *)
-
-module Kind = struct
-  type t =
-    | Update_sent
-    | Update_delivered
-    | Processed
-    | Mrai_flush
-    | Router_failed
-    | Session_down
-    | Session_up
-    | Fault
-
-  (* A row stores its kind as one byte: the index into [all]. *)
-  let all =
-    [|
-      Update_sent;
-      Update_delivered;
-      Processed;
-      Mrai_flush;
-      Router_failed;
-      Session_down;
-      Session_up;
-      Fault;
-    |]
-
-  let to_byte k =
-    Char.unsafe_chr
-      (match k with
-      | Update_sent -> 0
-      | Update_delivered -> 1
-      | Processed -> 2
-      | Mrai_flush -> 3
-      | Router_failed -> 4
-      | Session_down -> 5
-      | Session_up -> 6
-      | Fault -> 7)
-
-  let of_byte c = all.(Char.code c)
-end
-
-(* One event per row: the fields every kind has (kind byte, id, cause,
-   time), three int columns, two float columns and one update slot whose
-   meaning depends on the kind:
-
-     kind                 a       b     c      x         y        update
-     update_sent/_dlvd    src     dst   -      -         -        update
-     processed            router  src   dest   enqueued  started  -
-     mrai_flush           router  peer  dest   ready     -        -
-     router_failed        router  -     -      -         -        -
-     session_down/_up     router  peer  -      -         -        -
-     fault                router  -     label  -         -        -
-
-   A fault's [c] indexes [labels], the rows' own interned label table.
-   Floats live in unboxed [Float.Array]s, so writing a row allocates
-   nothing; only the update slot stores a pointer.  Columns grow by
-   doubling, never past what the owner asked for. *)
-type rows = {
-  mutable kind : Bytes.t;
-  mutable id : int array;
-  mutable cause : int array;
-  mutable a : int array;
-  mutable b : int array;
-  mutable c : int array;
-  mutable time : Float.Array.t;
-  mutable x : Float.Array.t;
-  mutable y : Float.Array.t;
-  mutable update : Types.update array;
-  mutable labels : string array;
-  mutable n_labels : int;
-}
-
-let no_update = Types.Withdraw (-1)
-
-let new_rows () =
-  {
-    kind = Bytes.empty;
-    id = [||];
-    cause = [||];
-    a = [||];
-    b = [||];
-    c = [||];
-    time = Float.Array.create 0;
-    x = Float.Array.create 0;
-    y = Float.Array.create 0;
-    update = [||];
-    labels = [||];
-    n_labels = 0;
-  }
-
-let resize r n =
-  let len = Bytes.length r.kind in
-  let ints col =
-    let col' = Array.make n 0 in
-    Array.blit col 0 col' 0 len;
-    col'
-  in
-  let floats col =
-    let col' = Float.Array.make n 0.0 in
-    Float.Array.blit col 0 col' 0 len;
-    col'
-  in
-  let update = Array.make n no_update in
-  Array.blit r.update 0 update 0 len;
-  r.kind <- Bytes.extend r.kind 0 (n - len);
-  r.id <- ints r.id;
-  r.cause <- ints r.cause;
-  r.a <- ints r.a;
-  r.b <- ints r.b;
-  r.c <- ints r.c;
-  r.time <- floats r.time;
-  r.x <- floats r.x;
-  r.y <- floats r.y;
-  r.update <- update
-
-let grow r ~limit = resize r (Stdlib.min limit (Stdlib.max 64 (2 * Bytes.length r.kind)))
-
-let intern r label =
-  let rec find i =
-    if i = r.n_labels then begin
-      if i = Array.length r.labels then begin
-        let labels = Array.make (Stdlib.max 8 (2 * i)) "" in
-        Array.blit r.labels 0 labels 0 i;
-        r.labels <- labels
-      end;
-      r.labels.(i) <- label;
-      r.n_labels <- i + 1;
-      i
-    end
-    else if String.equal r.labels.(i) label then i
-    else find (i + 1)
-  in
-  find 0
-
-(* Row writers: one per field layout, shared by the typed staging calls
-   and by [record]. *)
-let set_head r i k ~id ~time ~cause =
-  Bytes.set r.kind i (Kind.to_byte k);
-  r.id.(i) <- id;
-  r.cause.(i) <- cause;
-  Float.Array.set r.time i time
-
-let set_message r i k ~id ~time ~src ~dst ~update ~cause =
-  set_head r i k ~id ~time ~cause;
-  r.a.(i) <- src;
-  r.b.(i) <- dst;
-  r.update.(i) <- update
-
-let set_processed r i ~id ~time ~router ~src ~dest ~enqueued ~started ~cause =
-  set_head r i Kind.Processed ~id ~time ~cause;
-  r.a.(i) <- router;
-  r.b.(i) <- src;
-  r.c.(i) <- dest;
-  Float.Array.set r.x i enqueued;
-  Float.Array.set r.y i started
-
-let set_mrai_flush r i ~id ~time ~router ~peer ~dest ~ready ~cause =
-  set_head r i Kind.Mrai_flush ~id ~time ~cause;
-  r.a.(i) <- router;
-  r.b.(i) <- peer;
-  r.c.(i) <- dest;
-  Float.Array.set r.x i ready
-
-let set_router_failed r i ~id ~time ~router =
-  set_head r i Kind.Router_failed ~id ~time ~cause:no_cause;
-  r.a.(i) <- router
-
-let set_session r i k ~id ~time ~router ~peer ~cause =
-  set_head r i k ~id ~time ~cause;
-  r.a.(i) <- router;
-  r.b.(i) <- peer
-
-let set_fault r i ~id ~time ~label ~router ~cause =
-  set_head r i Kind.Fault ~id ~time ~cause;
-  r.a.(i) <- router;
-  r.c.(i) <- intern r label
-
-let set_row r i = function
-  | Update_sent { id; time; src; dst; update; cause } ->
-    set_message r i Kind.Update_sent ~id ~time ~src ~dst ~update ~cause
-  | Update_delivered { id; time; src; dst; update; cause } ->
-    set_message r i Kind.Update_delivered ~id ~time ~src ~dst ~update ~cause
-  | Processed { id; time; router; src; dest; enqueued; started; cause } ->
-    set_processed r i ~id ~time ~router ~src ~dest ~enqueued ~started ~cause
-  | Mrai_flush { id; time; router; peer; dest; ready; cause } ->
-    set_mrai_flush r i ~id ~time ~router ~peer ~dest ~ready ~cause
-  | Router_failed { id; time; router } -> set_router_failed r i ~id ~time ~router
-  | Session_down { id; time; router; peer; cause } ->
-    set_session r i Kind.Session_down ~id ~time ~router ~peer ~cause
-  | Session_up { id; time; router; peer; cause } ->
-    set_session r i Kind.Session_up ~id ~time ~router ~peer ~cause
-  | Fault { id; time; label; router; cause } -> set_fault r i ~id ~time ~label ~router ~cause
-
-let row_kind r i = Kind.of_byte (Bytes.get r.kind i)
-let row_id r i = r.id.(i)
-let row_cause r i = r.cause.(i)
-let row_time r i = Float.Array.get r.time i
-
-let row_event r i =
-  let id = r.id.(i) and time = Float.Array.get r.time i and cause = r.cause.(i) in
-  match row_kind r i with
-  | Kind.Update_sent ->
-    Update_sent { id; time; src = r.a.(i); dst = r.b.(i); update = r.update.(i); cause }
-  | Kind.Update_delivered ->
-    Update_delivered { id; time; src = r.a.(i); dst = r.b.(i); update = r.update.(i); cause }
-  | Kind.Processed ->
-    Processed
-      {
-        id;
-        time;
-        router = r.a.(i);
-        src = r.b.(i);
-        dest = r.c.(i);
-        enqueued = Float.Array.get r.x i;
-        started = Float.Array.get r.y i;
-        cause;
-      }
-  | Kind.Mrai_flush ->
-    Mrai_flush
-      {
-        id;
-        time;
-        router = r.a.(i);
-        peer = r.b.(i);
-        dest = r.c.(i);
-        ready = Float.Array.get r.x i;
-        cause;
-      }
-  | Kind.Router_failed -> Router_failed { id; time; router = r.a.(i) }
-  | Kind.Session_down -> Session_down { id; time; router = r.a.(i); peer = r.b.(i); cause }
-  | Kind.Session_up -> Session_up { id; time; router = r.a.(i); peer = r.b.(i); cause }
-  | Kind.Fault ->
-    Fault { id; time; label = r.labels.(r.c.(i)); router = r.a.(i); cause }
-
-let copy_row src i dst j =
-  let k = Bytes.get src.kind i in
-  Bytes.set dst.kind j k;
-  dst.id.(j) <- src.id.(i);
-  dst.cause.(j) <- src.cause.(i);
-  dst.a.(j) <- src.a.(i);
-  dst.b.(j) <- src.b.(i);
-  Float.Array.set dst.time j (Float.Array.get src.time i);
-  Float.Array.set dst.x j (Float.Array.get src.x i);
-  Float.Array.set dst.y j (Float.Array.get src.y i);
-  match Kind.of_byte k with
-  | Kind.Update_sent | Kind.Update_delivered -> dst.update.(j) <- src.update.(i)
-  | Kind.Fault -> dst.c.(j) <- intern dst src.labels.(src.c.(i))
-  | Kind.Processed | Kind.Mrai_flush | Kind.Router_failed | Kind.Session_down
-  | Kind.Session_up ->
-    dst.c.(j) <- src.c.(i)
-
 (* --- Ring buffer + spill sink --------------------------------------------- *)
 
 type t = {
   capacity : int;
-  rows : rows;  (* grows by doubling up to [capacity] *)
+  mutable data : event array;  (* grows by doubling up to [capacity] *)
   mutable next : int;  (* next write position *)
   mutable size : int;
   mutable dropped : int;
@@ -579,7 +328,7 @@ let create ?(capacity = 100_000) ?spill () =
   let sink = Option.map open_out spill in
   {
     capacity;
-    rows = new_rows ();
+    data = [||];
     next = 0;
     size = 0;
     dropped = 0;
@@ -589,32 +338,27 @@ let create ?(capacity = 100_000) ?spill () =
   }
 
 (* Until the ring first fills, [next = size] and the oldest event sits in
-   row 0; the columns only wrap once they have reached [capacity]. *)
-let slot t i =
-  let s = t.next - t.size + i in
-  if s < 0 then s + t.capacity else s
-
-(* The row the next event goes to: a fresh one while the ring fills
-   (growing the columns when they are full), else the oldest, which is
-   spilled or dropped first. *)
-let reserve t =
-  let i = t.next in
+   slot 0, so the array only has to wrap once it has reached [capacity]. *)
+let record t event =
   if t.size < t.capacity then begin
-    if i = Bytes.length t.rows.kind then grow t.rows ~limit:t.capacity;
+    if t.next = Array.length t.data then begin
+      let data = Array.make (Stdlib.min t.capacity (Stdlib.max 64 (2 * t.next))) event in
+      Array.blit t.data 0 data 0 t.next;
+      t.data <- data
+    end;
     t.size <- t.size + 1
   end
   else begin
+    (* Evicting the oldest event: spill it if a sink is attached. *)
     match t.sink with
     | Some oc ->
-      output_string oc (event_to_json (row_event t.rows i));
+      output_string oc (event_to_json t.data.(t.next));
       output_char oc '\n';
       t.spilled <- t.spilled + 1
     | None -> t.dropped <- t.dropped + 1
   end;
-  t.next <- (if i + 1 = t.capacity then 0 else i + 1);
-  i
-
-let record t event = set_row t.rows (reserve t) event
+  t.data.(t.next) <- event;
+  t.next <- (t.next + 1) mod t.capacity
 
 let length t = t.size
 let capacity t = t.capacity
@@ -629,7 +373,12 @@ let close t =
     t.sink <- None
   | None -> ()
 
-let to_list t = List.init t.size (fun i -> row_event t.rows (slot t i))
+(* The [i]-th in-memory event, oldest first. *)
+let nth t i =
+  let s = t.next - t.size + i in
+  t.data.(if s < 0 then s + t.capacity else s)
+
+let to_list t = List.init t.size (nth t)
 
 let iter_spilled t f =
   match t.spill with
@@ -661,16 +410,10 @@ let events t =
   iter_spilled t (fun e -> spilled := e :: !spilled);
   List.rev_append !spilled (to_list t)
 
-let iter_rows t f =
-  if Option.is_some t.spill then begin
-    let scratch = new_rows () in
-    resize scratch 1;
-    iter_spilled t (fun e ->
-        set_row scratch 0 e;
-        f scratch 0)
-  end;
+let iter t f =
+  iter_spilled t f;
   for i = 0 to t.size - 1 do
-    f t.rows (slot t i)
+    f (nth t i)
   done
 
 let finalize t ~meta =
@@ -682,10 +425,11 @@ let finalize t ~meta =
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () ->
-        for i = 0 to t.size - 1 do
-          output_string oc (event_to_json (row_event t.rows (slot t i)));
-          output_char oc '\n'
-        done;
+        List.iter
+          (fun e ->
+            output_string oc (event_to_json e);
+            output_char oc '\n')
+          (to_list t);
         output_string oc (meta_to_json meta);
         output_char oc '\n');
     (* The file is now the complete record; empty the ring so [events]
@@ -724,41 +468,34 @@ let read_file ~paths path =
         in
         go 1 None [])
 
-let count t ~pred =
-  let n = ref 0 in
-  for i = 0 to t.size - 1 do
-    if pred (row_event t.rows (slot t i)) then incr n
-  done;
-  !n
+let count t ~pred = List.length (List.filter pred (to_list t))
 
 let sends_by_router t =
   let table = Hashtbl.create 64 in
-  for i = 0 to t.size - 1 do
-    let s = slot t i in
-    if row_kind t.rows s = Kind.Update_sent then begin
-      let src = t.rows.a.(s) in
-      Hashtbl.replace table src (1 + Option.value ~default:0 (Hashtbl.find_opt table src))
-    end
-  done;
+  List.iter
+    (function
+      | Update_sent { src; _ } ->
+        Hashtbl.replace table src (1 + Option.value ~default:0 (Hashtbl.find_opt table src))
+      | Update_delivered _ | Processed _ | Mrai_flush _ | Router_failed _
+      | Session_down _ | Session_up _ | Fault _ ->
+        ())
+    (to_list t);
   List.sort
     (fun (_, a) (_, b) -> Int.compare b a)
     (Hashtbl.fold (fun r c acc -> (r, c) :: acc) table [])
 
 let between t ~lo ~hi =
-  let acc = ref [] in
-  for i = t.size - 1 downto 0 do
-    let s = slot t i in
-    let time = Float.Array.get t.rows.time s in
-    if time >= lo && time < hi then acc := row_event t.rows s :: !acc
-  done;
-  !acc
+  List.filter
+    (fun e ->
+      let time = time_of e in
+      time >= lo && time < hi)
+    (to_list t)
 
 let dump ?(limit = 50) ppf t =
-  let skip = Stdlib.max 0 (t.size - limit) in
+  let events = to_list t in
+  let skip = Stdlib.max 0 (List.length events - limit) in
   if skip > 0 then Fmt.pf ppf "... (%d earlier events)@." skip;
-  for i = skip to t.size - 1 do
-    Fmt.pf ppf "%a@." pp_event (row_event t.rows (slot t i))
-  done
+  List.iteri (fun i e -> if i >= skip then Fmt.pf ppf "%a@." pp_event e) events
 
 let clear t =
   t.size <- 0;
@@ -771,99 +508,6 @@ let clear t =
     t.sink <- Some (open_out path)
   | Some path, None -> if Sys.file_exists path then Sys.remove path
   | None, _ -> ()
-
-(* --- Per-shard staging --------------------------------------------------- *)
-
-type trace = t
-
-module Stage = struct
-  type t = { rows : rows; mutable len : int }
-
-  let create () = { rows = new_rows (); len = 0 }
-
-  let next st =
-    let i = st.len in
-    if i = Bytes.length st.rows.kind then grow st.rows ~limit:max_int;
-    st.len <- i + 1;
-    i
-
-  let update_sent st ~id ~time ~src ~dst ~update ~cause =
-    set_message st.rows (next st) Kind.Update_sent ~id ~time ~src ~dst ~update ~cause
-
-  let update_delivered st ~id ~time ~src ~dst ~update ~cause =
-    set_message st.rows (next st) Kind.Update_delivered ~id ~time ~src ~dst ~update ~cause
-
-  let processed st ~id ~time ~router ~src ~dest ~enqueued ~started ~cause =
-    set_processed st.rows (next st) ~id ~time ~router ~src ~dest ~enqueued ~started ~cause
-
-  let mrai_flush st ~id ~time ~router ~peer ~dest ~ready ~cause =
-    set_mrai_flush st.rows (next st) ~id ~time ~router ~peer ~dest ~ready ~cause
-
-  let router_failed st ~id ~time ~router = set_router_failed st.rows (next st) ~id ~time ~router
-
-  let session_down st ~id ~time ~router ~peer ~cause =
-    set_session st.rows (next st) Kind.Session_down ~id ~time ~router ~peer ~cause
-
-  let session_up st ~id ~time ~router ~peer ~cause =
-    set_session st.rows (next st) Kind.Session_up ~id ~time ~router ~peer ~cause
-
-  let fault st ~id ~time ~label ~router ~cause =
-    set_fault st.rows (next st) ~id ~time ~label ~router ~cause
-
-  (* Staged rows are named by one int, [row lsl bits lor stage], so the
-     sort permutes plain ints. *)
-  let flush (trace : trace) stages ~horizon =
-    let k = Array.length stages in
-    let bits =
-      let rec go b = if 1 lsl b >= k then b else go (b + 1) in
-      go 0
-    in
-    let mask = (1 lsl bits) - 1 in
-    let ready = ref 0 in
-    for s = 0 to k - 1 do
-      let st = stages.(s) in
-      for i = 0 to st.len - 1 do
-        if Float.Array.get st.rows.time i < horizon then incr ready
-      done
-    done;
-    if !ready > 0 then begin
-      let perm = Array.make !ready 0 in
-      let n = ref 0 in
-      for s = 0 to k - 1 do
-        let st = stages.(s) in
-        for i = 0 to st.len - 1 do
-          if Float.Array.get st.rows.time i < horizon then begin
-            perm.(!n) <- (i lsl bits) lor s;
-            incr n
-          end
-        done
-      done;
-      Array.stable_sort
-        (fun p q ->
-          let rp = stages.(p land mask).rows and rq = stages.(q land mask).rows in
-          let ip = p lsr bits and iq = q lsr bits in
-          let c = Float.compare (Float.Array.get rp.time ip) (Float.Array.get rq.time iq) in
-          if c <> 0 then c else Int.compare rp.id.(ip) rq.id.(iq))
-        perm;
-      Array.iter
-        (fun p ->
-          let j = reserve trace in
-          copy_row stages.(p land mask).rows (p lsr bits) trace.rows j)
-        perm;
-      (* Rows at or past the horizon stay staged, in order. *)
-      for s = 0 to k - 1 do
-        let st = stages.(s) in
-        let kept = ref 0 in
-        for i = 0 to st.len - 1 do
-          if not (Float.Array.get st.rows.time i < horizon) then begin
-            if !kept <> i then copy_row st.rows i st.rows !kept;
-            incr kept
-          end
-        done;
-        st.len <- !kept
-      done
-    end
-end
 
 (* --- Structural digest --------------------------------------------------- *)
 
@@ -890,7 +534,7 @@ let settle e =
   end
 
 let put_byte e c =
-  Bytes.set e.buf e.pos c;
+  Bytes.set e.buf e.pos (Char.unsafe_chr c);
   e.pos <- e.pos + 1;
   settle e
 
@@ -899,8 +543,8 @@ let put_int e v =
   e.pos <- e.pos + 8;
   settle e
 
-let put_float e col i =
-  Bytes.set_int64_le e.buf e.pos (Int64.bits_of_float (Float.Array.get col i));
+let put_float e f =
+  Bytes.set_int64_le e.buf e.pos (Int64.bits_of_float f);
   e.pos <- e.pos + 8;
   settle e
 
@@ -921,54 +565,68 @@ let put_path e path =
   put_int e (Path.length path);
   List.iter (put_int e) (Path.hops path)
 
-let encode_row e r i =
-  let k = Bytes.get r.kind i in
-  put_byte e k;
-  put_int e r.id.(i);
-  put_float e r.time i;
-  match Kind.of_byte k with
-  | Kind.Update_sent | Kind.Update_delivered -> (
-    put_int e r.a.(i);
-    put_int e r.b.(i);
-    put_int e r.cause.(i);
-    (* A withdrawal encodes as an advertisement of the empty path with
-       its own kind byte, so the kind byte alone tells them apart. *)
-    match r.update.(i) with
-    | Types.Advertise { dest; path } ->
-      put_byte e '\000';
-      put_int e dest;
-      put_path e path
-    | Types.Withdraw dest ->
-      put_byte e '\001';
-      put_int e dest;
-      put_path e Path.empty)
-  | Kind.Processed ->
-    put_int e r.a.(i);
-    put_int e r.b.(i);
-    put_int e r.c.(i);
-    put_float e r.x i;
-    put_float e r.y i;
-    put_int e r.cause.(i)
-  | Kind.Mrai_flush ->
-    put_int e r.a.(i);
-    put_int e r.b.(i);
-    put_int e r.c.(i);
-    put_float e r.x i;
-    put_int e r.cause.(i)
-  | Kind.Router_failed -> put_int e r.a.(i)
-  | Kind.Session_down | Kind.Session_up ->
-    put_int e r.a.(i);
-    put_int e r.b.(i);
-    put_int e r.cause.(i)
-  | Kind.Fault ->
-    let label = r.labels.(r.c.(i)) in
+let put_head e kind id time =
+  put_byte e kind;
+  put_int e id;
+  put_float e time
+
+(* A withdrawal encodes as an advertisement of the empty path with its
+   own tag byte, so the tag alone tells them apart. *)
+let put_message e kind id time src dst cause update =
+  put_head e kind id time;
+  put_int e src;
+  put_int e dst;
+  put_int e cause;
+  match update with
+  | Types.Advertise { dest; path } ->
+    put_byte e 0;
+    put_int e dest;
+    put_path e path
+  | Types.Withdraw dest ->
+    put_byte e 1;
+    put_int e dest;
+    put_path e Path.empty
+
+let put_session e kind id time router peer cause =
+  put_head e kind id time;
+  put_int e router;
+  put_int e peer;
+  put_int e cause
+
+let encode e = function
+  | Update_sent { id; time; src; dst; update; cause } ->
+    put_message e 0 id time src dst cause update
+  | Update_delivered { id; time; src; dst; update; cause } ->
+    put_message e 1 id time src dst cause update
+  | Processed { id; time; router; src; dest; enqueued; started; cause } ->
+    put_head e 2 id time;
+    put_int e router;
+    put_int e src;
+    put_int e dest;
+    put_float e enqueued;
+    put_float e started;
+    put_int e cause
+  | Mrai_flush { id; time; router; peer; dest; ready; cause } ->
+    put_head e 3 id time;
+    put_int e router;
+    put_int e peer;
+    put_int e dest;
+    put_float e ready;
+    put_int e cause
+  | Router_failed { id; time; router } ->
+    put_head e 4 id time;
+    put_int e router
+  | Session_down { id; time; router; peer; cause } -> put_session e 5 id time router peer cause
+  | Session_up { id; time; router; peer; cause } -> put_session e 6 id time router peer cause
+  | Fault { id; time; label; router; cause } ->
+    put_head e 7 id time;
     put_int e (String.length label);
     put_bytes e label;
-    put_int e r.a.(i);
-    put_int e r.cause.(i)
+    put_int e router;
+    put_int e cause
 
 let digest ?(prefix = "") t =
   let e = { buf = Bytes.make (limit + 8) '\000'; pos = 16 } in
   put_bytes e prefix;
-  iter_rows t (encode_row e);
+  iter t (encode e);
   Digest.subbytes e.buf 0 e.pos

@@ -12,19 +12,13 @@
     chain is what {!Attribution} walks to recover the critical path from a
     failure to the last route change.
 
-    The ring is stored as columns: a kind byte, int columns for ids,
-    causes, routers, peers and destinations, unboxed float columns for
-    the timestamps and one update slot per row.  Recording is O(1) and
-    allocation-light: a row is written in place, the window barrier's
-    flush allocates one int permutation of the rows it moves, and the
-    columns grow by doubling up to the capacity, so memory follows the
-    events recorded, not the capacity.  An {!event} value is built only
-    when a reader asks for one; the {!digest} and {!iter_rows} read the
-    columns in place.
-    Attach a trace through {!Network.config}.  When the ring would
-    overwrite its oldest event, the event is either spilled to a JSONL
-    file (when [spill] was given — nothing is lost) or dropped and
-    counted. *)
+    Recording is O(1): the ring stores the event value, and its array
+    grows by doubling up to the capacity, so memory follows the events
+    recorded, not the capacity.  {!iter} and {!digest} walk the complete
+    record without building a list.  Attach a trace through
+    {!Network.config}.  When the ring would overwrite its oldest event,
+    the event is either spilled to a JSONL file (when [spill] was given —
+    nothing is lost) or dropped and counted. *)
 
 val no_cause : int
 (** The cause id of a root event ([-1]). *)
@@ -128,17 +122,14 @@ type t
 
 val create : ?capacity:int -> ?spill:string -> unit -> t
 (** Ring buffer of at most [capacity] events (default 100_000).  Nothing
-    is allocated up front: the columns start at 64 rows on the first
-    event and double as they fill, never past [capacity].  When full,
-    the oldest event is overwritten: with [spill] it is first appended
-    to the JSONL file at that path (created/truncated here) and counted
-    in [spilled]; without it the event is lost and counted in
-    [dropped].
+    is allocated up front: the ring starts at 64 slots on the first event
+    and doubles as it fills, never past [capacity].  When full, the
+    oldest event is overwritten: with [spill] it is first appended to the
+    JSONL file at that path (created/truncated here) and counted in
+    [spilled]; without it the event is lost and counted in [dropped].
     @raise Invalid_argument if [capacity <= 0]. *)
 
 val record : t -> event -> unit
-(** Append one event, taken apart into the columns.  The network stages
-    typed rows through {!Stage} instead. *)
 
 val length : t -> int
 (** Events currently held in memory. *)
@@ -152,8 +143,7 @@ val spilled : t -> int
 val spill_path : t -> string option
 
 val to_list : t -> event list
-(** In-memory events, oldest first (excludes spilled events).  Like every
-    reader below that returns events, it builds them from the columns. *)
+(** In-memory events, oldest first (excludes spilled events). *)
 
 val events : t -> event list
 (** The complete record, oldest first: spilled events read back from the
@@ -180,80 +170,10 @@ val clear : t -> unit
 (** Drop all events (and truncate the spill file, if any).  Ids keep
     counting. *)
 
-(** {2 Per-shard staging}
-
-    Each shard of a traced run stages its rows in the ring's column
-    layout, one typed call per event kind, and the window barrier moves
-    them into the run's trace with {!Stage.flush}. *)
-
-module Stage : sig
-  type trace := t
-  type t
-
-  val create : unit -> t
-  (** An empty stage; its columns grow by doubling as rows arrive. *)
-
-  val update_sent :
-    t -> id:int -> time:float -> src:int -> dst:int -> update:Bgp_proto.Types.update ->
-    cause:int -> unit
-
-  val update_delivered :
-    t -> id:int -> time:float -> src:int -> dst:int -> update:Bgp_proto.Types.update ->
-    cause:int -> unit
-
-  val processed :
-    t -> id:int -> time:float -> router:int -> src:int -> dest:int -> enqueued:float ->
-    started:float -> cause:int -> unit
-
-  val mrai_flush :
-    t -> id:int -> time:float -> router:int -> peer:int -> dest:int -> ready:float ->
-    cause:int -> unit
-
-  val router_failed : t -> id:int -> time:float -> router:int -> unit
-  val session_down : t -> id:int -> time:float -> router:int -> peer:int -> cause:int -> unit
-  val session_up : t -> id:int -> time:float -> router:int -> peer:int -> cause:int -> unit
-
-  val fault : t -> id:int -> time:float -> label:string -> router:int -> cause:int -> unit
-
-  val flush : trace -> t array -> horizon:float -> unit
-  (** Append every staged row with [time < horizon], from all stages, to
-      the trace in [(time, id)] order (a sort of an int permutation of
-      the rows), and keep the rest staged.  The trace does the ring,
-      drop and spill accounting. *)
-end
-
-(** {2 Reading in place}
-
-    {!iter_rows} visits the complete record — the same events, in the
-    same order, as {!events} — without building events for the
-    in-memory part: it hands out a block of columns and a row index.
-    Spilled events are read back and visited one at a time through a
-    scratch block. *)
-
-module Kind : sig
-  type t =
-    | Update_sent
-    | Update_delivered
-    | Processed
-    | Mrai_flush
-    | Router_failed
-    | Session_down
-    | Session_up
-    | Fault
-end
-
-type rows
-(** A block of columns; valid only inside the {!iter_rows} callback. *)
-
-val iter_rows : t -> (rows -> int -> unit) -> unit
-val row_kind : rows -> int -> Kind.t
-val row_id : rows -> int -> int
-val row_cause : rows -> int -> int
-(** [no_cause] for a [Router_failed] row, like {!cause_of}. *)
-
-val row_time : rows -> int -> float
-val row_event : rows -> int -> event
-(** Build the row's {!event}. *)
+val iter : t -> (event -> unit) -> unit
+(** Visit the complete record — the same events, in the same order, as
+    {!events} — without building a list: spilled events are read back
+    one line at a time, then the in-memory ring is walked in place. *)
 
 val digest : ?prefix:string -> t -> Digest.t
 (** MD5 of [prefix] followed by a fixed binary encoding of the complete
@@ -261,9 +181,9 @@ val digest : ?prefix:string -> t -> Digest.t
     prints, in its order — ints as 8 bytes little-endian, floats as
     their IEEE bits, an AS path as its length then its hops (a
     withdrawal as the empty path), a fault label as its length then its
-    bytes.  The stream is hashed in
-    64 KiB pieces, each together with the previous piece's digest, so
-    the memory used does not grow with the trace.  Equal event
+    bytes.  The stream is hashed in 64 KiB pieces, each together with the
+    previous piece's digest, so the memory used does not grow with the
+    trace.  Equal event
     sequences digest equally whatever the ring's capacity or spill. *)
 
 (** {2 Per-trial trace files}

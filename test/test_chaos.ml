@@ -363,6 +363,32 @@ let test_check_trace_conservation () =
   Alcotest.check names "no conservation check before the run drained" []
     (tripped (clean_events @ [ unmatched ]) ~lost:None ())
 
+(* Thousands of router ids, so the seen-id bitset grows past its first
+   512 ids several times, then one event naming an id in that range that
+   was never recorded.  The minor heap is first filled with dead all-ones
+   blocks, so a grown bitset that kept stale bytes would see the id. *)
+let test_check_trace_cause_order_grown () =
+  let n = 5_000 in
+  let processed id time cause =
+    Trace.Processed
+      { id; time; router = id mod 40; src = 0; dest = 1; enqueued = time; started = time; cause }
+  in
+  let chain =
+    List.init n (fun i ->
+        processed (2 * i) (float_of_int i *. 1e-4) (if i = 0 then Trace.no_cause else 2 * (i - 1)))
+  in
+  let check events =
+    let t = trace_of ~capacity:(n + 1) events in
+    for _ = 0 to (Gc.get ()).Gc.minor_heap_size / 200 do
+      ignore (Sys.opaque_identity (Bytes.make 2_000 '\255'))
+    done;
+    Gc.minor ();
+    List.map (fun v -> v.Chaos.invariant) (Chaos.check_trace ~t_fail:1.0 ~lost:(Some 0) t)
+  in
+  Alcotest.check names "a chain over grown bitsets is clean" [] (check chain);
+  Alcotest.check names "an unseen id inside the grown range" [ "cause_order" ]
+    (check (chain @ [ processed (2 * n) 0.6 4_001 ]))
+
 let test_check_trace_capacity () =
   Alcotest.check names "a ring that dropped events" [ "trace_capacity" ]
     (tripped clean_events ~capacity:4 ~lost:(Some 0) ())
@@ -396,6 +422,8 @@ let () =
         [
           Alcotest.test_case "clean trace trips nothing" `Quick test_check_trace_clean;
           Alcotest.test_case "cause_order" `Quick test_check_trace_cause_order;
+          Alcotest.test_case "cause_order past the first bitset" `Quick
+            test_check_trace_cause_order_grown;
           Alcotest.test_case "orphan_root" `Quick test_check_trace_orphan_root;
           Alcotest.test_case "conservation" `Quick test_check_trace_conservation;
           Alcotest.test_case "trace_capacity" `Quick test_check_trace_capacity;

@@ -529,7 +529,7 @@ let test_trace_records_network_events () =
       (Trace.between trace ~lo:time ~hi:infinity <> [])
   | None -> Alcotest.fail "no failure event"
 
-(* --- Columnar ring against a plain-list model ---------------------------- *)
+(* --- The trace ring against a plain-list model --------------------------- *)
 
 module Path = Bgp_proto.Path
 
@@ -645,7 +645,7 @@ let read_bytes path =
 let jsons = List.map Trace.event_to_json
 
 let prop_ring_matches_model =
-  QCheck.Test.make ~count:300 ~name:"columnar ring matches a list model" arb_ring_case
+  QCheck.Test.make ~count:300 ~name:"trace ring matches a list model" arb_ring_case
     (fun (cap, spill, ops) ->
       let path = if spill then Some (Filename.temp_file "bgpsim_ring" ".jsonl") else None in
       let t = Trace.create ~capacity:cap ?spill:path () in
@@ -662,9 +662,9 @@ let prop_ring_matches_model =
         in
         if jsons (Trace.to_list t) <> jsons m.mem then fail "%s: to_list" step;
         if jsons (Trace.events t) <> spilled_events @ jsons m.mem then fail "%s: events" step;
-        let rows = ref [] in
-        Trace.iter_rows t (fun r i -> rows := Trace.row_event r i :: !rows);
-        if jsons (List.rev !rows) <> spilled_events @ jsons m.mem then fail "%s: iter_rows" step;
+        let seen = ref [] in
+        Trace.iter t (fun e -> seen := e :: !seen);
+        if jsons (List.rev !seen) <> spilled_events @ jsons m.mem then fail "%s: iter" step;
         if Trace.length t <> List.length m.mem then fail "%s: length" step;
         if Trace.dropped t <> m.m_dropped then fail "%s: dropped %d <> %d" step (Trace.dropped t) m.m_dropped;
         if Trace.spilled t <> m.m_spilled then fail "%s: spilled" step;
