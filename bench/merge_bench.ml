@@ -17,7 +17,6 @@
 module Sweep = Bgp_experiments.Sweep
 module Runner = Bgp_netsim.Runner
 module Merge = Bgp_netsim.Attr_merge
-module Report = Bgp_experiments.Bench_report
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -117,10 +116,11 @@ let () =
   (match json_path with
   | None -> ()
   | Some path ->
-    let report = Report.create ~trials ~n:nodes ~jobs:1 in
-    Report.add_micro report (Report.micro ~name:"merge.reparse" ~iters:trials ~wall:wall_reparse);
-    Report.add_micro report (Report.micro ~name:"merge.sidecar" ~iters:trials ~wall:wall_sidecar);
-    Report.write report path;
+    Bench_json.write path ~trials ~n:nodes ~jobs:1
+      [
+        { Bench_json.name = "merge.reparse"; iters = trials; wall = wall_reparse };
+        { Bench_json.name = "merge.sidecar"; iters = trials; wall = wall_sidecar };
+      ];
     Fmt.pr "wrote %s@." path);
   if speedup < 5.0 then begin
     Fmt.epr "error: sidecar merge speedup %.1fx is below the 5x floor@." speedup;

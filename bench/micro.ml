@@ -1,23 +1,15 @@
-(* Micro-benchmarks for the simulator's hot paths: RIB decide/select over
-   packed ranks, AS-path interning, and scheduler/heap event churn.
-
-   Unlike bench/main.ml (whole-figure regeneration under bechamel), these
-   are tight hand-timed loops over the individual operations the profiles
-   show dominating a run, so a representation regression shows up as a
-   per-op number rather than a minutes-long sweep.
+(* Micro-benchmarks for the layers the benchmark suite's per-layer table
+   does not measure: AS-path interning and equality, the shard mailbox
+   and barrier, and the partitioner.  Tight hand-timed loops, so a
+   representation regression shows up as a per-op number.
 
    Run with:  dune exec bench/micro.exe -- [--quick] [--json PATH] *)
 
-module Rib = Bgp_proto.Rib
 module Path = Bgp_proto.Path
-module Types = Bgp_proto.Types
-module Sched = Bgp_engine.Scheduler
-module Heap = Bgp_engine.Heap
 module Rng = Bgp_engine.Rng
 module Shard_exec = Bgp_engine.Shard_exec
 module Topology = Bgp_topology.Topology
 module Partition = Bgp_topology.Partition
-module Report = Bgp_experiments.Bench_report
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -44,7 +36,7 @@ let bench_path_intern ~iters () =
         done)
   in
   ignore !sink;
-  Report.micro ~name:"path.cons" ~iters ~wall
+  { Bench_json.name = "path.cons"; iters; wall }
 
 let bench_path_equal ~iters () =
   let tbl = Path.create_table () in
@@ -59,93 +51,7 @@ let bench_path_equal ~iters () =
         done)
   in
   ignore !sink;
-  Report.micro ~name:"path.equal" ~iters ~wall
-
-(* --- RIB ----------------------------------------------------------------- *)
-
-(* Churn a 16-peer Adj-RIB-In for one destination: replace one entry and
-   re-run the decision process, like a router absorbing an update burst. *)
-let bench_rib_decide ~iters () =
-  let tbl = Path.create_table () in
-  let rib = Rib.create ~asn:0 in
-  let dest = 7 in
-  let paths =
-    Array.init 16 (fun peer ->
-        Path.of_list tbl (List.init ((peer mod 4) + 1) (fun h -> 100 + peer + h)))
-  in
-  for peer = 1 to 16 do
-    Rib.set_in rib dest ~peer ~kind:Types.Ebgp paths.(peer - 1)
-  done;
-  let rng = Rng.create 3 in
-  let sink = ref 0 in
-  let wall =
-    time (fun () ->
-        for _ = 1 to iters do
-          let peer = 1 + Rng.int rng 16 in
-          Rib.set_in rib dest ~peer ~kind:Types.Ebgp paths.(Rng.int rng 16);
-          if Rib.decide rib dest then incr sink
-        done)
-  in
-  ignore !sink;
-  Report.micro ~name:"rib.set_in+decide" ~iters ~wall
-
-let bench_rib_select ~iters () =
-  let tbl = Path.create_table () in
-  let rib = Rib.create ~asn:0 in
-  let dest = 7 in
-  for peer = 1 to 16 do
-    Rib.set_in rib dest ~peer ~kind:Types.Ebgp
-      (Path.of_list tbl (List.init ((peer mod 4) + 1) (fun h -> 100 + peer + h)))
-  done;
-  let sink = ref 0 in
-  let wall =
-    time (fun () ->
-        for _ = 1 to iters do
-          if Rib.decide rib dest then incr sink
-        done)
-  in
-  ignore !sink;
-  Report.micro ~name:"rib.select" ~iters ~wall
-
-(* --- Scheduler ----------------------------------------------------------- *)
-
-(* Steady-state event churn: a window of pending events; each iteration
-   pushes one, cancels one in three, and executes until the window is
-   back at its size — the simulator's inner-loop mix. *)
-let bench_sched_churn ~iters () =
-  let s = Sched.create () in
-  let rng = Rng.create 11 in
-  let window = 256 in
-  let ids =
-    Array.init window (fun _ -> Sched.schedule s ~delay:(Rng.float rng) (fun () -> ()))
-  in
-  let wall =
-    time (fun () ->
-        for i = 1 to iters do
-          let slot = i mod window in
-          if i mod 3 = 0 then Sched.cancel s ids.(slot);
-          ids.(slot) <- Sched.schedule s ~delay:(Rng.float rng) (fun () -> ());
-          while Sched.pending s > window do
-            ignore (Sched.step s)
-          done
-        done)
-  in
-  Report.micro ~name:"sched.push_cancel_step" ~iters ~wall
-
-let bench_heap_churn ~iters () =
-  let h = Heap.create ~cmp:Float.compare in
-  let rng = Rng.create 13 in
-  for _ = 1 to 256 do
-    Heap.push h (Rng.float rng)
-  done;
-  let wall =
-    time (fun () ->
-        for _ = 1 to iters do
-          Heap.push h (Rng.float rng);
-          ignore (Heap.pop_exn h)
-        done)
-  in
-  Report.micro ~name:"heap.push_pop" ~iters ~wall
+  { Bench_json.name = "path.equal"; iters; wall }
 
 (* --- Shard layer ---------------------------------------------------------- *)
 
@@ -170,7 +76,7 @@ let bench_shard_mailbox ~iters () =
         done)
   in
   assert (!delivered = rounds * batch);
-  Report.micro ~name:"shard.mailbox_post_drain" ~iters:(rounds * batch) ~wall
+  { Bench_json.name = "shard.mailbox_post_drain"; iters = rounds * batch; wall }
 
 (* Raw barrier round-trip between two domains: the synchronization floor
    under every window of the sharded executor. *)
@@ -189,7 +95,7 @@ let bench_shard_barrier ~iters () =
         done;
         Domain.join other)
   in
-  Report.micro ~name:"shard.barrier_round_trip" ~iters ~wall
+  { Bench_json.name = "shard.barrier_round_trip"; iters; wall }
 
 (* Partitioner wall-time at realistic topology scales (the one-off cost a
    sharded run pays before building the network).  Generation is outside
@@ -209,7 +115,7 @@ let bench_partition ~n ~iters () =
         done)
   in
   ignore !cut;
-  Report.micro ~name:(Printf.sprintf "partition.compute/%dk" (n / 1000)) ~iters ~wall
+  { Bench_json.name = Printf.sprintf "partition.compute/%dk" (n / 1000); iters; wall }
 
 (* --- Driver -------------------------------------------------------------- *)
 
@@ -228,10 +134,6 @@ let () =
     [
       bench_path_intern ~iters:(scale 2_000_000);
       bench_path_equal ~iters:(scale 5_000_000);
-      bench_rib_decide ~iters:(scale 500_000);
-      bench_rib_select ~iters:(scale 1_000_000);
-      bench_sched_churn ~iters:(scale 1_000_000);
-      bench_heap_churn ~iters:(scale 2_000_000);
       bench_shard_mailbox ~iters:(scale 200_000);
       bench_shard_barrier ~iters:(scale 100_000);
       bench_partition ~n:1_000 ~iters:(max 1 (scale 50));
@@ -242,17 +144,18 @@ let () =
        so it only runs in full mode. *)
     @ (if quick then [] else [ bench_partition ~n:50_000 ~iters:1 ])
   in
-  let report = Report.create ~trials:1 ~n:0 ~jobs:1 in
   Fmt.pr "%-24s %12s %12s %14s@." "benchmark" "iters" "ns/op" "ops/s";
-  List.iter
-    (fun bench ->
-      let m = bench () in
-      Report.add_micro report m;
-      Fmt.pr "%-24s %12d %12.1f %14.3e@." m.Report.name m.Report.iters
-        m.Report.ns_per_op m.Report.ops_per_s)
-    benches;
+  let rows =
+    List.map
+      (fun bench ->
+        let r = bench () in
+        Fmt.pr "%-24s %12d %12.1f %14.3e@." r.Bench_json.name r.iters
+          (Bench_json.ns_per_op r) (Bench_json.ops_per_s r);
+        r)
+      benches
+  in
   match json_path with
   | None -> ()
   | Some path ->
-    Report.write report path;
+    Bench_json.write path ~trials:1 ~n:0 ~jobs:1 rows;
     Fmt.pr "@.wrote %s@." path

@@ -18,7 +18,6 @@ module Partition = Bgp_topology.Partition
 module Runner = Bgp_netsim.Runner
 module Network = Bgp_netsim.Network
 module Config = Bgp_proto.Config
-module Report = Bgp_experiments.Bench_report
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -54,12 +53,12 @@ let () =
       ~net:(Network.config_default Config.(with_mrai (Static 1.25) default))
       ~failure:(Runner.Fraction 0.05) ~seed:!seed (Runner.Fixed topo)
   in
-  let report = Report.create ~trials:1 ~n:!n ~jobs:cores in
+  let rows = ref [] in
   let point label sharding =
     let r, wall = time (fun () -> Runner.run { base with Runner.sharding }) in
     Fmt.pr "  %-22s %8.2f s  (delay %.3f s, %d msgs, %d events)@." label wall
       r.Runner.convergence_delay r.Runner.messages r.Runner.events;
-    Report.add_micro report (Report.micro ~name:("shard.trial/" ^ label) ~iters:1 ~wall);
+    rows := { Bench_json.name = "shard.trial/" ^ label; iters = 1; wall } :: !rows;
     (r, wall)
   in
   let r_k1, w_k1 = point "shards=1" (Some 1) in
@@ -72,12 +71,12 @@ let () =
     || r_k1.Runner.events <> r_kn.Runner.events
   then failwith "shards=1 and shards=K disagree: shard-count invariance violated";
   let p, w_part = time (fun () -> Partition.compute ~shards:!shards ~seed:!seed topo) in
-  Report.add_micro report (Report.micro ~name:"partition.compute" ~iters:1 ~wall:w_part);
+  rows := { Bench_json.name = "partition.compute"; iters = 1; wall = w_part } :: !rows;
   Fmt.pr "  partition: %a (%.3f s)@." Partition.pp_stats p w_part;
   Fmt.pr "  shards=%d vs shards=1: %.2fx speedup on %d core(s)@." !shards (w_k1 /. w_kn)
     cores;
   match !json with
   | None -> ()
   | Some path ->
-    Report.write report path;
+    Bench_json.write path ~trials:1 ~n:!n ~jobs:cores (List.rev !rows);
     Fmt.pr "wrote %s@." path

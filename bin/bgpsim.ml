@@ -94,18 +94,35 @@ let check_opts ~trials ~jobs o =
   else if o.nodes < 2 then fail "--nodes must be >= 2, got %d" o.nodes
   else if not (o.failure >= 0.0 && o.failure <= 1.0) then
     fail "--failure must be a fraction in [0, 1], got %g" o.failure
+  else if not (o.mrai >= 0.0) then fail "--mrai must be >= 0 seconds, got %g" o.mrai
+  else if o.scheme_name = "dynamic" && not (o.down_th <= o.up_th) then
+    fail "--down-th (%g) must not exceed --up-th (%g)" o.down_th o.up_th
   else if o.analytic && o.policies then
     fail "--analytic-warmup is policy-free only; drop --policies or --analytic-warmup"
   else
-    let parallel = min (max 1 jobs) trials in
-    match o.shards with
-    | Some k when k < 0 -> fail "--shards must be >= 0 (0 = auto), got %d" k
-    | shards ->
+    match (o.tcp_batch, o.hold_time, o.dest_sample, o.shards) with
+    | Some b, _, _, _ when b < 1 -> fail "--tcp-batch must be >= 1, got %d" b
+    | _, Some h, _, _ when not (h > 0.0) -> fail "--hold-time must be > 0 seconds, got %g" h
+    | _, _, Some k, _ when k < 1 -> fail "--dest-sample must be >= 1, got %d" k
+    | _, _, _, Some k when k < 0 -> fail "--shards must be >= 0 (0 = auto), got %d" k
+    | _, _, _, shards ->
+      let parallel = min (max 1 jobs) trials in
       let k = Option.value shards ~default:1 in
       if k * parallel <= max_domains then Ok ()
       else
         fail "%d shard(s) x %d trial(s) at once needs %d domains; the runtime allows %d" k
           parallel (k * parallel) max_domains
+
+(* A command's own arguments, checked like [check_opts]: the first false
+   condition costs its one [error:] line and exit 1. *)
+let require checks =
+  match List.find_opt (fun (ok, _) -> not ok) checks with
+  | Some (_, m) ->
+    Fmt.epr "error: %s@." m;
+    exit 1
+  | None -> ()
+
+let jobs_ok jobs = (jobs >= 0, Printf.sprintf "--jobs must be >= 0 (0 = auto), got %d" jobs)
 
 (* Resolve [--shards 0] against [jobs], then validate; exits 1 with a
    one-line message on a bad argument. *)
@@ -228,10 +245,7 @@ let pp_attr_line ppf (attr : Attribution.t) =
 
 let run_main opts trials jobs trace_n trace_file probe_interval telemetry_dir prof
     prof_flame quiet =
-  if jobs < 0 then begin
-    Fmt.epr "error: --jobs must be >= 0 (0 = auto), got %d@." jobs;
-    exit 1
-  end;
+  require [ jobs_ok jobs ];
   let jobs =
     if jobs <> 0 then jobs
     else begin
@@ -433,6 +447,7 @@ let merge_main dir json_path flame_path top jobs reparse quiet =
 
 let analyze_main opts capacity spill json_path top max_hops per_dest flame_path merge_dir
     jobs reparse prof prof_flame quiet =
+  require [ (capacity >= 1, Printf.sprintf "--capacity must be >= 1, got %d" capacity) ];
   with_prof ~prof ~prof_flame ~quiet @@ fun () ->
   match merge_dir with
   | Some dir -> merge_main dir json_path flame_path top jobs reparse quiet
@@ -499,10 +514,15 @@ module Chaos = Bgp_experiments.Chaos
 
 let chaos_main opts trials jobs max_events horizon replay_every capacity out
     seed_violation sidecar_dir prof prof_flame quiet =
-  if jobs < 0 then begin
-    Fmt.epr "error: --jobs must be >= 0 (0 = auto), got %d@." jobs;
-    exit 1
-  end;
+  require
+    [
+      jobs_ok jobs;
+      (capacity >= 1, Printf.sprintf "--capacity must be >= 1, got %d" capacity);
+      (max_events >= 1, Printf.sprintf "--max-events must be >= 1, got %d" max_events);
+      (horizon >= 0.0, Printf.sprintf "--horizon must be >= 0 seconds, got %g" horizon);
+      ( replay_every >= 0,
+        Printf.sprintf "--replay-every must be >= 0 (0 = never), got %d" replay_every );
+    ];
   let opts =
     let effective = if jobs = 0 then Bgp_engine.Pool.default_jobs () else jobs in
     checked_opts ~trials ~jobs:effective ~quiet opts
@@ -570,16 +590,14 @@ let churn_workload_of ~name ~prefixes ~rate ~duration ~flaps ~hold ~spread ~stag
 
 let churn_main opts trials jobs workload_name churn_prefixes rate duration flaps hold
     spread stages gap window prefix_mean max_prefixes out prof prof_flame quiet =
-  if jobs < 0 then begin
-    Fmt.epr "error: --jobs must be >= 0 (0 = auto), got %d@." jobs;
-    exit 1
-  end;
-  if opts.dest_sample <> None then begin
-    (* The schedule is generated against the full plan at the CLI layer,
-       before the runner draws its sample — the two would disagree. *)
-    Fmt.epr "error: --dest-sample applies to run/analyze, not churn@.";
-    exit 1
-  end;
+  require
+    [
+      jobs_ok jobs;
+      (window > 0.0, Printf.sprintf "--window must be > 0 seconds, got %g" window);
+      (* The schedule is generated against the full plan at the CLI layer,
+         before the runner draws its sample — the two would disagree. *)
+      (opts.dest_sample = None, "--dest-sample applies to run/analyze, not churn");
+    ];
   let jobs = if jobs = 0 then Bgp_engine.Pool.default_jobs () else jobs in
   (* Policy-free churn always warms up analytically: the measured queue
      high-water and throughput then reflect the load phase alone. *)
@@ -1112,6 +1130,11 @@ let churn_cmd =
 module Serve = Bgp_experiments.Serve
 
 let serve_main dir socket query max_requests scan_interval quiet =
+  require
+    [
+      ( scan_interval > 0.0,
+        Printf.sprintf "--scan-interval must be > 0 seconds, got %g" scan_interval );
+    ];
   match query with
   | Some q -> (
     match Serve.request ~socket q with

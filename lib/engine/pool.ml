@@ -16,49 +16,8 @@ let default_jobs () =
 
 type domain_stat = { domain : int; jobs : int; busy : float; wait : float }
 
-type stats = {
-  busy : float;
-  wall : float;
-  jobs_run : int;
-  batches : int;
-  queue_wait : float;
-}
-
-let stats_lock = Mutex.create ()
-let stats_acc = ref { busy = 0.0; wall = 0.0; jobs_run = 0; batches = 0; queue_wait = 0.0 }
-let last_batch_acc : domain_stat list ref = ref []
-
-let add_stats ~busy ~wall ~jobs_run ~queue_wait ~per_domain =
-  Mutex.lock stats_lock;
-  let s = !stats_acc in
-  stats_acc :=
-    {
-      busy = s.busy +. busy;
-      wall = s.wall +. wall;
-      jobs_run = s.jobs_run + jobs_run;
-      batches = s.batches + 1;
-      queue_wait = s.queue_wait +. queue_wait;
-    };
-  last_batch_acc := per_domain;
-  Mutex.unlock stats_lock
-
-let stats () =
-  Mutex.lock stats_lock;
-  let s = !stats_acc in
-  Mutex.unlock stats_lock;
-  s
-
-let last_batch () =
-  Mutex.lock stats_lock;
-  let b = !last_batch_acc in
-  Mutex.unlock stats_lock;
-  b
-
-let reset_stats () =
-  Mutex.lock stats_lock;
-  stats_acc := { busy = 0.0; wall = 0.0; jobs_run = 0; batches = 0; queue_wait = 0.0 };
-  last_batch_acc := [];
-  Mutex.unlock stats_lock
+let last = Atomic.make []
+let last_batch () = Atomic.get last
 
 let now = Unix.gettimeofday
 
@@ -89,21 +48,15 @@ let record_failure fl i e bt =
   Mutex.unlock fl.fm
 
 let sequential_map f xs =
-  let n = List.length xs in
   let t0 = now () in
-  let c0 = Sys.time () in
   Fun.protect
     ~finally:(fun () ->
-      let wall = now () -. t0 in
-      add_stats ~busy:(Sys.time () -. c0) ~wall ~jobs_run:n ~queue_wait:0.0
-        ~per_domain:[ { domain = 0; jobs = n; busy = wall; wait = 0.0 } ])
+      Atomic.set last
+        [ { domain = 0; jobs = List.length xs; busy = now () -. t0; wait = 0.0 } ])
     (fun () -> List.map f xs)
 
-(* [busy] is process CPU time, which aggregates every domain's work, so
-   [busy /. wall] is an honest speedup estimate: ~1 on a saturated
-   single core however many domains run, ~jobs on idle hardware.  The
-   per-domain breakdown is wall-clock based: each worker times its own
-   job executions ([busy]) and its waits on the work deque ([wait]). *)
+(* The per-domain breakdown is wall-clock based: each worker times its
+   own job executions ([busy]) and its waits on the work deque ([wait]). *)
 let map ?jobs f xs =
   let jobs =
     match jobs with
@@ -118,15 +71,11 @@ let map ?jobs f xs =
     let w_jobs = Array.make nworkers 0 in
     let w_busy = Array.make nworkers 0.0 in
     let w_wait = Array.make nworkers 0.0 in
-    let t0 = now () in
-    let c0 = Sys.time () in
     Fun.protect
       ~finally:(fun () ->
-        add_stats ~busy:(Sys.time () -. c0) ~wall:(now () -. t0) ~jobs_run:n
-          ~queue_wait:(Array.fold_left ( +. ) 0.0 w_wait)
-          ~per_domain:
-            (List.init nworkers (fun w ->
-                 { domain = w; jobs = w_jobs.(w); busy = w_busy.(w); wait = w_wait.(w) })))
+        Atomic.set last
+          (List.init nworkers (fun w ->
+               { domain = w; jobs = w_jobs.(w); busy = w_busy.(w); wait = w_wait.(w) })))
       (fun () ->
         let input = Array.of_list xs in
         let results = Array.make n None in

@@ -29,16 +29,10 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
 (** {1 Instrumentation}
 
-    The pool keeps cumulative counters so callers (the bench harness)
-    can report parallel speedup: [busy] is the process CPU time consumed
-    during [map] calls — which aggregates every domain's work, i.e. an
-    estimate of the sequential replay cost — and [wall] is their elapsed
-    time, so [busy /. wall] estimates the achieved speedup (~1 on a
-    saturated single core regardless of the job count).
-
-    Per-domain runtime metrics: each worker additionally times its own
-    job executions and its waits on the work deque, surfaced per batch
-    through {!last_batch} and cumulatively as [queue_wait]. *)
+    Each worker times its own job executions and its waits on the work
+    deque; {!last_batch} reports them for the most recent [map] call.
+    Under an armed {!Profile} session the same intervals also accumulate
+    as [Pool_job] / [Pool_wait] spans. *)
 
 type domain_stat = {
   domain : int;  (** worker index within the batch; 0 is the caller *)
@@ -47,21 +41,6 @@ type domain_stat = {
   wait : float;  (** wall seconds this worker spent taking from the deque *)
 }
 
-type stats = {
-  busy : float;  (** process CPU seconds consumed during [map] calls *)
-  wall : float;  (** summed elapsed seconds of [map] calls *)
-  jobs_run : int;  (** jobs executed *)
-  batches : int;  (** [map] calls *)
-  queue_wait : float;
-      (** summed wall seconds all workers spent waiting on the work
-          deque (lock contention indicator) *)
-}
-
-val stats : unit -> stats
-
 val last_batch : unit -> domain_stat list
 (** Per-domain breakdown of the most recent [map] call (one entry per
-    worker, caller first).  Empty before the first call or after
-    [reset_stats]. *)
-
-val reset_stats : unit -> unit
+    worker, caller first).  Empty before the first call. *)

@@ -433,39 +433,3 @@ let to_flamegraph r =
                   (us total))))
     r.domains;
   Buffer.contents b
-
-(* --- Flat summary -------------------------------------------------------- *)
-
-let summarize r =
-  List.concat_map
-    (fun d ->
-      let spans =
-        List.map
-          (fun (ki, shard, total, n, _mx) ->
-            let label =
-              if shard >= 0 then
-                Printf.sprintf "domain%d/shard%d/%s" d.dom shard
-                  (span_name (kind_of_index ki))
-              else Printf.sprintf "domain%d/%s" d.dom (span_name (kind_of_index ki))
-            in
-            (label, ns_to_s total, n))
-          (aggregate_spans d.spans)
-      in
-      let accums =
-        List.map
-          (fun a ->
-            ( Printf.sprintf "domain%d/%s" d.dom (span_name a.a_kind),
-              ns_to_s a.a_ns,
-              a.a_count ))
-          d.accums
-      in
-      spans @ accums)
-    r.domains
-
-let queue_wait_ns r =
-  List.fold_left
-    (fun acc d ->
-      List.fold_left
-        (fun acc a -> if a.a_kind = Pool_wait then Int64.add acc a.a_ns else acc)
-        acc d.accums)
-    0L r.domains

@@ -125,11 +125,3 @@ val to_flamegraph : report -> string
     phases render as [domainD;kind self_us] where self-time subtracts
     any leaf span recorded on the same domain whose start falls inside
     the phase. *)
-
-val summarize : report -> (string * float * int) list
-(** Flat [(label, seconds, count)] rows ("domain0/shard1/compute"),
-    aggregated like {!to_json} — for embedding in bench reports without
-    depending on this module's types. *)
-
-val queue_wait_ns : report -> int64
-(** Cumulative {!Pool_wait} across all domains. *)

@@ -281,6 +281,10 @@ let write_all fd s =
   go 0
 
 let run ?worst_capacity ?max_requests ?(scan_interval = 0.5) ~socket ~dir () =
+  (* A client that hangs up before reading its reply ends only its own
+     connection: the write then fails with EPIPE (caught below) instead
+     of raising SIGPIPE, which would kill the server. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let t = create ?worst_capacity ~dir () in
   ignore (scan t);
   if Sys.file_exists socket then Sys.remove socket;
@@ -304,13 +308,16 @@ let run ?worst_capacity ?max_requests ?(scan_interval = 0.5) ~socket ~dir () =
       Fun.protect
         ~finally:(fun () -> try Unix.close conn with Unix.Unix_error _ -> ())
         (fun () ->
-          let req = read_request conn in
-          (* Fold anything new before answering, so every response
-             reflects the directory as of this request. *)
-          ignore (scan t);
-          write_all conn (handle t req);
-          incr served;
-          if String.trim req = "shutdown" then stop := true)
+          try
+            let req = read_request conn in
+            (* Fold anything new before answering, so every response
+               reflects the directory as of this request. *)
+            ignore (scan t);
+            let reply = handle t req in
+            incr served;
+            if String.trim req = "shutdown" then stop := true;
+            write_all conn reply
+          with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ())
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
     match max_requests with
     | Some m when !served >= m -> stop := true

@@ -71,7 +71,9 @@ val run :
 (** Serve until a [shutdown] request (or [max_requests] answered).
     Binds (and on exit removes) a Unix-domain socket at [socket],
     rescanning the directory between requests and at least every
-    [scan_interval] (default 0.5) seconds.
+    [scan_interval] (default 0.5) seconds.  Sets SIGPIPE to ignored for
+    the process, so a client that hangs up before reading its reply
+    ends only its own connection.
     @raise Unix.Unix_error if the socket cannot be bound. *)
 
 val request : socket:string -> string -> string

@@ -132,7 +132,21 @@ let sample_sequence spec rng ~n =
     in
     bump ()
   end;
-  make_graphical degrees
+  let degrees = make_graphical degrees in
+  (* A connected graph needs n - 1 edges.  A draw heavy in leaves can fall
+     short (small n under the power law); raise that many leaves to degree
+     2.  The deficit is even and below the leaf count, and a positive
+     sequence summing to exactly 2(n - 1) is a tree's, so the result is
+     still graphical. *)
+  let deficit = ref ((2 * (n - 1)) - Array.fold_left ( + ) 0 degrees) in
+  Array.iteri
+    (fun v d ->
+      if !deficit > 0 && d = 1 then begin
+        degrees.(v) <- 2;
+        decr deficit
+      end)
+    degrees;
+  degrees
 
 (* --- Realization: Havel-Hakimi + edge swaps --------------------------- *)
 

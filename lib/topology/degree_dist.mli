@@ -41,8 +41,9 @@ val mean_degree : spec -> float
 val sample_sequence : spec -> Rng.t -> n:int -> int array
 (** Draw a degree sequence; the sum is forced even (a random node may be
     bumped by one), each degree is clamped to [1, n-1], and the sequence
-    is repaired to satisfy Erdos-Gallai (shaving the largest degrees) so
-    that {!realize} always succeeds — repairs only trigger for small [n]. *)
+    is repaired to satisfy Erdos-Gallai (shaving the largest degrees) and
+    to sum to at least [2 * (n - 1)] (raising leaves to degree 2) so that
+    {!realize} always succeeds — repairs only trigger for small [n]. *)
 
 val is_graphical : int array -> bool
 (** Erdos-Gallai test: can the sequence be realized as a simple graph?

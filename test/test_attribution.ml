@@ -13,7 +13,6 @@ module Runner = Bgp_netsim.Runner
 module Network = Bgp_netsim.Network
 module Trace = Bgp_netsim.Trace
 module Attribution = Bgp_netsim.Attribution
-module Report = Bgp_experiments.Bench_report
 module J = Bgp_engine.Json_lite
 module Config = Bgp_proto.Config
 module Path = Bgp_proto.Path
@@ -287,51 +286,12 @@ let check_attr_json () =
       nearf "json dest parts sum to tail" (float_member d "tail") sum)
     dests
 
-(* Bench reports carry the attribution block through their own emitter. *)
-let check_bench_report_roundtrip () =
-  let t = Report.create ~trials:2 ~n:24 ~jobs:1 in
-  Report.set_attribution t
-    {
-      Report.attr_scenario = "unit test";
-      attr_delay = 3.5;
-      attr_queueing = 0.5;
-      attr_processing = 0.25;
-      attr_mrai_hold = 2.0;
-      attr_propagation = 0.75;
-      attr_hops = 42;
-      attr_complete = true;
-      attr_dests = 24;
-      attr_tail_p50 = 1.25;
-      attr_tail_p95 = 3.0;
-      attr_tail_p99 = 3.5;
-      attr_straggler_dest = 17;
-      attr_straggler_tail = 3.5;
-    };
-  let json = J.obj (J.parse (Report.to_json t)) in
-  let attr =
-    match J.field_opt json "attribution" with
-    | Some o -> J.obj o
-    | None -> Alcotest.fail "bench report lost the attribution block"
-  in
-  let f key = J.float (J.field attr key) in
-  exactf "delay" 3.5 (f "convergence_delay_s");
-  exactf "queueing" 0.5 (f "queueing_s");
-  exactf "mrai_hold" 2.0 (f "mrai_hold_s");
-  exactf "hops" 42.0 (f "critical_hops");
-  exactf "dests" 24.0 (f "dests");
-  exactf "tail p50" 1.25 (f "tail_p50_s");
-  exactf "tail p95" 3.0 (f "tail_p95_s");
-  exactf "tail p99" 3.5 (f "tail_p99_s");
-  exactf "straggler dest" 17.0 (f "straggler_dest");
-  exactf "straggler tail" 3.5 (f "straggler_tail_s");
-  checkb "complete flag kept" true (J.bool (J.field attr "complete"))
-
 (* The flat reference scenario must surface at least one straggler: a
    destination whose tail exceeds the p95 tail (the acceptance criterion
    for the per-destination view). *)
 let check_stragglers () =
-  (* seed 1 = the reference run bench embeds; 24 destinations re-converge
-     there, enough for p95 to sit below the maximum tail *)
+  (* seed 1: 24 destinations re-converge there, enough for p95 to sit
+     below the maximum tail *)
   let traced = Runner.run (with_trace { flat_scenario with Runner.seed = 1 }) in
   let attr = get_attr "stragglers" traced in
   let late = Attribution.stragglers attr in
@@ -660,7 +620,5 @@ let () =
             check_event_roundtrip;
           Alcotest.test_case "analyze JSON self-consistency" `Quick
             check_attr_json;
-          Alcotest.test_case "bench report attribution" `Quick
-            check_bench_report_roundtrip;
         ] );
     ]

@@ -6,7 +6,6 @@
 
 module J = Bgp_engine.Json_lite
 module Profile = Bgp_engine.Profile
-module Pool = Bgp_engine.Pool
 module Runner = Bgp_netsim.Runner
 module Network = Bgp_netsim.Network
 module Trace = Bgp_netsim.Trace
@@ -16,7 +15,6 @@ module Telemetry = Bgp_netsim.Telemetry
 module Fi = Bgp_netsim.Fault_injector
 module Serve = Bgp_experiments.Serve
 module Chaos = Bgp_experiments.Chaos
-module Bench_report = Bgp_experiments.Bench_report
 module Config = Bgp_proto.Config
 module Path = Bgp_proto.Path
 module Types = Bgp_proto.Types
@@ -336,7 +334,7 @@ let prop_writers_reprint =
         (fun doc -> strict_bytes doc && J.to_string (J.parse doc) = doc)
         (writer_documents seed))
 
-let test_profile_and_bench_reprint () =
+let test_profile_reprint () =
   Profile.start ();
   Profile.record Profile.Compute ~shard:0 (Profile.now_ns ());
   Profile.counter_add "test.adds" 2;
@@ -345,19 +343,7 @@ let test_profile_and_bench_reprint () =
     | Some r -> Profile.to_json r
     | None -> Alcotest.fail "no report"
   in
-  reprints "bgp-prof/1" prof;
-  let t = Bench_report.create ~trials:1 ~n:8 ~jobs:1 in
-  Bench_report.add t
-    (Bench_report.entry ~id:"fig\t1" ~title:"A \"title\"" ~kind:"figure" ~wall:1.5
-       ~pool:{ Pool.busy = 1.0; wall = 1.5; jobs_run = 2; batches = 1; queue_wait = 0.0 }
-       ~per_domain:[ { Pool.domain = 0; jobs = 2; busy = 1.0; wait = 0.0 } ]
-       ~verdicts_pass:1 ~verdicts_total:1);
-  Bench_report.add_micro t (Bench_report.micro ~name:"m" ~iters:10 ~wall:0.001);
-  let doc = Bench_report.to_json t in
-  checkb "bench report has no raw control byte" true (strict_bytes doc);
-  reprints "bgp-bench/1" doc;
-  let figure = J.obj (List.hd (J.arr (J.field (J.obj (J.parse doc)) "figures"))) in
-  checks "tab in an id survives" "fig\t1" (J.str (J.field figure "id"))
+  reprints "bgp-prof/1" prof
 
 let () =
   let qc = QCheck_alcotest.to_alcotest ~long:false ~rand:(Random.State.make [| 15 |]) in
@@ -376,7 +362,6 @@ let () =
           qc prop_sidecar_roundtrip;
           qc prop_event_roundtrip;
           qc prop_writers_reprint;
-          Alcotest.test_case "profile and bench reports" `Quick
-            test_profile_and_bench_reprint;
+          Alcotest.test_case "profile report" `Quick test_profile_reprint;
         ] );
     ]

@@ -1,6 +1,6 @@
 (* Reproduction shape tests: the paper's central qualitative claims, each
    checked on paper-scale (120-node) topologies with reduced grids so the
-   suite stays test-sized.  The full grids live in `bench/main.exe`.
+   suite stays test-sized.  The full grids live in `bin/figures.exe`.
 
    These are the claims that define the paper:
      1. the delay-vs-MRAI curve is V-shaped under a sizeable failure;

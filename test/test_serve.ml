@@ -220,7 +220,8 @@ let test_control_char_in_first_error () =
     ]
 
 (* One real socket round trip: fork a server bounded by --max-requests,
-   query it as a client, and let the shutdown request stop it. *)
+   hang up on it once, query it as a client, and let the shutdown
+   request stop it. *)
 let test_socket_roundtrip () =
   let dir = fresh_dir () in
   let socket = Filename.concat dir "serve.sock" in
@@ -248,6 +249,12 @@ let test_socket_roundtrip () =
       end
     in
     await 100;
+    (* A client that sends a request and hangs up without reading the
+       reply must not take the server down with it. *)
+    let hang_up = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect hang_up (Unix.ADDR_UNIX socket);
+    ignore (Unix.write_substring hang_up "report\n" 0 7);
+    Unix.close hang_up;
     let s1 = Serve.request ~socket "status" in
     checkb "status over socket" true (contains s1 "\"trials\":1");
     (* A second trial dropped while the server runs is visible to the

@@ -148,20 +148,39 @@ let test_is_graphical () =
   checkb "two big hubs among leaves" false
     (Degree_dist.is_graphical [| 9; 9; 1; 1; 1; 1; 1; 1; 1; 1 |])
 
+(* Every spec, indexed as the property below draws it (topology seed
+   [n * 13 + which]); 50-50-dense comes last so the property's four
+   indices keep their seeds. *)
+let generator_specs =
+  [|
+    Degree_dist.skewed_70_30;
+    Degree_dist.skewed_50_50;
+    Degree_dist.skewed_85_15;
+    Degree_dist.internet_like;
+    Degree_dist.skewed_50_50_dense;
+  |]
+
+let generates_connected n which =
+  let rng = Rng.create ((n * 13) + which) in
+  let g = Degree_dist.generate generator_specs.(which) rng ~n in
+  Graph.is_connected g && Graph.num_nodes g = n
+
 let prop_generate_connected =
   QCheck.Test.make ~name:"generated graphs are connected simple graphs" ~count:30
     QCheck.(pair (int_range 10 150) (int_range 0 3))
-    (fun (n, which) ->
-      let spec =
-        match which with
-        | 0 -> Degree_dist.skewed_70_30
-        | 1 -> Degree_dist.skewed_50_50
-        | 2 -> Degree_dist.skewed_85_15
-        | _ -> Degree_dist.internet_like
-      in
-      let rng = Rng.create ((n * 13) + which) in
-      let g = Degree_dist.generate spec rng ~n in
-      Graph.is_connected g && Graph.num_nodes g = n)
+    (fun (n, which) -> generates_connected n which)
+
+(* The property's inputs, exhaustively: every spec at every n in 10-150.
+   This covers the leaf-heavy power-law draws that need the n - 1 edge
+   repair (e.g. n = 38, internet-like, topology seed 497). *)
+let test_generate_every_size () =
+  for n = 10 to 150 do
+    Array.iteri
+      (fun which _ ->
+        if not (generates_connected n which) then
+          Alcotest.failf "n = %d, spec %d: not a connected %d-node graph" n which n)
+      generator_specs
+  done
 
 let prop_two_class_split_exact =
   QCheck.Test.make ~name:"two-class sequences honour the class split" ~count:30
@@ -328,7 +347,8 @@ let () =
           Alcotest.test_case "exact realization" `Quick test_sequence_realizes_exactly;
           Alcotest.test_case "internet-like shape" `Quick test_internet_like_shape;
           Alcotest.test_case "Erdos-Gallai" `Quick test_is_graphical;
-          qc prop_generate_connected;
+          qc ~rand:(Random.State.make [| 18 |]) prop_generate_connected;
+          Alcotest.test_case "every spec at n = 10..150" `Quick test_generate_every_size;
           qc prop_two_class_split_exact;
           qc prop_avg_degree_close;
         ] );
