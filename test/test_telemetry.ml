@@ -460,6 +460,39 @@ let test_pool_domain_stats () =
     checki "ran everything" 3 d.Pool.jobs
   | l -> Alcotest.failf "expected one domain stat, got %d" (List.length l)
 
+(* Under an armed profile every worker accumulates one pool_job per job
+   and one pool_wait per take from the deque, the final empty take
+   included; [figures --prof] reports these rows. *)
+let test_pool_profile_accums () =
+  Profile.start ();
+  let _ = Pool.map ~jobs:2 (fun x -> x * x) [ 1; 2; 3; 4; 5; 6 ] in
+  match Profile.stop () with
+  | None -> Alcotest.fail "armed profiler returned no report"
+  | Some r ->
+    let json = J.parse (Profile.to_json r) in
+    let rows =
+      Option.value ~default:[] (Option.bind (member "domains" json) to_list)
+      |> List.concat_map (fun d ->
+             Option.value ~default:[] (Option.bind (member "accums" d) to_list))
+    in
+    let count span =
+      List.fold_left
+        (fun acc row ->
+          if Option.bind (member "span" row) to_str = Some span then
+            acc + int_of_float (Option.value ~default:0.0 (Option.bind (member "count" row) to_float))
+          else acc)
+        0 rows
+    in
+    checki "one pool_job per job" 6 (count "pool_job");
+    checki "one pool_wait per take, two workers' empty takes included" 8
+      (count "pool_wait");
+    List.iter
+      (fun row ->
+        match Option.bind (member "total_s" row) to_float with
+        | Some s -> checkb "accumulated total nonnegative" true (s >= 0.0)
+        | None -> Alcotest.fail "accumulator row without total_s")
+      rows
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -504,5 +537,8 @@ let () =
           Alcotest.test_case "bgp-prof/1 round-trip" `Quick test_prof_json_roundtrip;
         ] );
       ( "pool",
-        [ Alcotest.test_case "per-domain stats" `Quick test_pool_domain_stats ] );
+        [
+          Alcotest.test_case "per-domain stats" `Quick test_pool_domain_stats;
+          Alcotest.test_case "profile accumulators" `Quick test_pool_profile_accums;
+        ] );
     ]

@@ -182,6 +182,29 @@ let test_generate_every_size () =
       generator_specs
   done
 
+(* The sequence contract {!Degree_dist.realize} relies on, down to n = 2
+   where the clamp and both repairs bite hardest: length n, degrees in
+   [1, n - 1], an even sum of at least 2(n - 1), and graphical.  Ten
+   sequence seeds per spec and size reach leaf-heavy draws that fall
+   short of n - 1 edges before the repair. *)
+let test_sequence_contract () =
+  for n = 2 to 150 do
+    Array.iteri
+      (fun which spec ->
+        for seed = 1 to 10 do
+          let degrees = Degree_dist.sample_sequence spec (Rng.create seed) ~n in
+          let sum = Array.fold_left ( + ) 0 degrees in
+          let where = Printf.sprintf "n = %d, spec %d, seed %d" n which seed in
+          checki (where ^ ": length") n (Array.length degrees);
+          checkb (where ^ ": degrees in [1, n - 1]") true
+            (Array.for_all (fun d -> d >= 1 && d <= n - 1) degrees);
+          checkb (where ^ ": even sum") true (sum mod 2 = 0);
+          checkb (where ^ ": at least n - 1 edges") true (sum >= 2 * (n - 1));
+          checkb (where ^ ": graphical") true (Degree_dist.is_graphical degrees)
+        done)
+      generator_specs
+  done
+
 let prop_two_class_split_exact =
   QCheck.Test.make ~name:"two-class sequences honour the class split" ~count:30
     (QCheck.int_range 20 200)
@@ -349,6 +372,7 @@ let () =
           Alcotest.test_case "Erdos-Gallai" `Quick test_is_graphical;
           qc ~rand:(Random.State.make [| 18 |]) prop_generate_connected;
           Alcotest.test_case "every spec at n = 10..150" `Quick test_generate_every_size;
+          Alcotest.test_case "sequence contract at n = 2..150" `Quick test_sequence_contract;
           qc prop_two_class_split_exact;
           qc prop_avg_degree_close;
         ] );
