@@ -181,12 +181,7 @@ let build_scenario o =
           match o.hold_time with
           | None -> base
           | Some hold_time ->
-            {
-              base with
-              Network.detection =
-                Network.Hold_timer
-                  { Bgp_proto.Session.default_config with Bgp_proto.Session.hold_time };
-            }
+            { base with Network.detection = Network.Hold_timer hold_time }
         in
         Ok
           (Runner.scenario ~net:net_config ~failure:(Runner.Fraction o.failure)

@@ -15,12 +15,6 @@ type update =
 let update_dest = function Advertise { dest; _ } -> dest | Withdraw dest -> dest
 let is_withdrawal = function Withdraw _ -> true | Advertise _ -> false
 
-let update_equal a b =
-  match (a, b) with
-  | Withdraw da, Withdraw db -> da = db
-  | Advertise a, Advertise b -> a.dest = b.dest && Path.equal a.path b.path
-  | Advertise _, Withdraw _ | Withdraw _, Advertise _ -> false
-
 let pp_update ppf = function
   | Advertise { dest; path } -> Fmt.pf ppf "advertise(d%d via %a)" dest pp_path path
   | Withdraw dest -> Fmt.pf ppf "withdraw(d%d)" dest

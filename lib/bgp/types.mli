@@ -35,9 +35,6 @@ type update =
 val update_dest : update -> dest
 val is_withdrawal : update -> bool
 
-val update_equal : update -> update -> bool
-(** Structural equality on updates (paths compared with {!path_equal});
-    the batching input queue's superseded-update test. *)
 
 val pp_update : Format.formatter -> update -> unit
 

@@ -32,7 +32,6 @@ type t = {
   mutable clock : float;
   mutable next_seq : int;
   mutable executed : int;
-  mutable last_event_time : float;
 }
 
 let noop () = ()
@@ -53,7 +52,6 @@ let create () =
     clock = 0.0;
     next_seq = 0;
     executed = 0;
-    last_event_time = 0.0;
   }
 
 let now t = t.clock
@@ -220,7 +218,6 @@ let exec_root t =
   t.live <- t.live - 1;
   t.clock <- time;
   t.executed <- t.executed + 1;
-  t.last_event_time <- time;
   f ()
 
 let step t =
@@ -248,7 +245,6 @@ let run ?until t =
       if skim t && t.h_time.(0) <= limit then exec_root t else continue := false
     done
 
-let time_of_last_event t = t.last_event_time
 let events_executed t = t.executed
 let max_live t = t.max_live
 let slab_capacity t = Array.length t.cbs

@@ -50,9 +50,6 @@ val run_window : t -> stop:float -> cap:float -> unit
     [cap].  The conservative-window primitive: a shard drains its slab up
     to the window boundary and no further. *)
 
-val time_of_last_event : t -> float
-(** Timestamp of the most recently executed event (0 if none ran yet). *)
-
 val events_executed : t -> int
 
 val max_live : t -> int

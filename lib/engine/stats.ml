@@ -59,9 +59,6 @@ let percentile t p =
     let frac = rank -. float_of_int lo in
     a.(lo) +. (frac *. (a.(hi) -. a.(lo)))
 
-let ci95_halfwidth t =
-  if t.n < 2 then 0.0 else 1.96 *. stddev t /. sqrt (float_of_int t.n)
-
 type summary = {
   n : int;
   mean : float;

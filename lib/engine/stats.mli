@@ -23,9 +23,6 @@ val percentile : t -> float -> float
 (** [percentile t p] with [p] in [\[0,1\]], linear interpolation.
     @raise Invalid_argument if samples were not kept or [t] is empty. *)
 
-val ci95_halfwidth : t -> float
-(** Normal-approximation 95% confidence half-width of the mean. *)
-
 type summary = {
   n : int;
   mean : float;

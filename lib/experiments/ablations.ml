@@ -316,10 +316,6 @@ let detection opts =
   let with_detection detection =
     { (Network.config_default base) with Network.detection }
   in
-  let hold hold_time =
-    Network.Hold_timer
-      { Bgp_proto.Session.default_config with Bgp_proto.Session.hold_time }
-  in
   let s label net_config =
     series opts ~label ~metric:delay (fun frac ->
         Runner.scenario ~net:net_config ~failure:(Runner.Fraction frac) ~seed:opts.seed
@@ -333,8 +329,8 @@ let detection opts =
     series =
       [
         s "link signal (25 ms, paper)" (with_detection Network.Link_signal);
-        s "hold timer 90 s (RFC)" (with_detection (hold 90.0));
-        s "hold timer 9 s (tuned)" (with_detection (hold 9.0));
+        s "hold timer 90 s (RFC)" (with_detection (Network.Hold_timer 90.0));
+        s "hold timer 9 s (tuned)" (with_detection (Network.Hold_timer 9.0));
       ];
     paper_expectation =
       "the paper (like most SSFNet studies) assumes link-layer detection; \

@@ -280,6 +280,9 @@ let write_all fd s =
   in
   go 0
 
+(* Seconds a connection may block the loop in one read or write. *)
+let io_timeout = 1.0
+
 let run ?worst_capacity ?max_requests ?(scan_interval = 0.5) ~socket ~dir () =
   (* A client that hangs up before reading its reply ends only its own
      connection: the write then fails with EPIPE (caught below) instead
@@ -308,6 +311,11 @@ let run ?worst_capacity ?max_requests ?(scan_interval = 0.5) ~socket ~dir () =
       Fun.protect
         ~finally:(fun () -> try Unix.close conn with Unix.Unix_error _ -> ())
         (fun () ->
+          (* One connection at a time: a silent or half-written client ends
+             only its own connection on a timeout (EAGAIN); a read that
+             timed out is no request, so [max_requests] does not count it. *)
+          Unix.setsockopt_float conn Unix.SO_RCVTIMEO io_timeout;
+          Unix.setsockopt_float conn Unix.SO_SNDTIMEO io_timeout;
           try
             let req = read_request conn in
             (* Fold anything new before answering, so every response
@@ -317,7 +325,7 @@ let run ?worst_capacity ?max_requests ?(scan_interval = 0.5) ~socket ~dir () =
             incr served;
             if String.trim req = "shutdown" then stop := true;
             write_all conn reply
-          with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ())
+          with Unix.Unix_error (Unix.(EPIPE | ECONNRESET | EAGAIN | EWOULDBLOCK), _, _) -> ())
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
     match max_requests with
     | Some m when !served >= m -> stop := true

@@ -73,7 +73,10 @@ val run :
     rescanning the directory between requests and at least every
     [scan_interval] (default 0.5) seconds.  Sets SIGPIPE to ignored for
     the process, so a client that hangs up before reading its reply
-    ends only its own connection.
+    ends only its own connection.  Connections are served one at a time;
+    each read or write may block for at most one second, so an idle or
+    half-written client delays the others by that much and is then
+    dropped unanswered (not counted toward [max_requests]).
     @raise Unix.Unix_error if the socket cannot be bound. *)
 
 val request : socket:string -> string -> string

@@ -8,7 +8,7 @@ module Failure = Bgp_topology.Failure
 module Router = Bgp_proto.Router
 module Types = Bgp_proto.Types
 
-type detection = Link_signal | Hold_timer of Bgp_proto.Session.config
+type detection = Link_signal | Hold_timer of float
 
 type config = {
   bgp : Bgp_proto.Config.t;
@@ -530,19 +530,15 @@ let build ?(shards = 1) ?owner ?lookahead ~rng ~config ?telemetry topo =
 (* --- Failure injection (orchestrator-time, between phases) --------------- *)
 
 (* How long a surviving session peer takes to notice a drop: via the link
-   layer after a fixed delay, or when the BGP hold timer expires (sampled
-   from the session timing model: jittered hold time minus the time
-   already elapsed since the last keepalive). *)
+   layer after a fixed delay, or when the BGP hold timer expires (sampled:
+   the RFC 1771 jittered hold time minus the time already elapsed since
+   the last keepalive, which goes out every third of that hold). *)
 let detection_sample t =
   match t.config.detection with
   | Link_signal -> t.config.detection_delay
-  | Hold_timer session ->
-    let hold =
-      if session.Bgp_proto.Session.jitter then
-        session.Bgp_proto.Session.hold_time *. Rng.uniform t.detect_rng ~lo:0.75 ~hi:1.0
-      else session.Bgp_proto.Session.hold_time
-    in
-    let keepalive = session.Bgp_proto.Session.keepalive_fraction *. hold in
+  | Hold_timer hold_time ->
+    let hold = hold_time *. Rng.uniform t.detect_rng ~lo:0.75 ~hi:1.0 in
+    let keepalive = (1.0 /. 3.0) *. hold in
     let since_last_keepalive = Rng.uniform t.detect_rng ~lo:0.0 ~hi:keepalive in
     Float.max 0.001 (hold -. since_last_keepalive)
 

@@ -10,11 +10,13 @@ type detection =
   | Link_signal
       (** the link layer reports the loss after [detection_delay] (what
           the paper's experiments model) *)
-  | Hold_timer of Bgp_proto.Session.config
-      (** no link signal: the BGP session's hold timer must expire.  The
-          delay is sampled from the session timing model — jittered hold
-          time minus the time since the last keepalive — instead of
-          simulating every keepalive message (see {!Bgp_proto.Session}). *)
+  | Hold_timer of float
+      (** no link signal: the BGP session's hold timer, of this many
+          seconds, must expire.  The delay is sampled instead of
+          simulating every keepalive message: the hold time carries RFC
+          1771 jitter (x U(0.75, 1)), a keepalive goes out every third of
+          that jittered hold, and the delay is the jittered hold minus a
+          uniform draw of the time since the last keepalive. *)
 
 type config = {
   bgp : Bgp_proto.Config.t;

@@ -1,6 +1,5 @@
 module Sched = Bgp_engine.Scheduler
 module Rng = Bgp_engine.Rng
-module Stats = Bgp_engine.Stats
 module Profile = Bgp_engine.Profile
 module Topology = Bgp_topology.Topology
 module As_topology = Bgp_topology.As_topology
@@ -281,6 +280,9 @@ let run_gen ?inspect s =
   let attribution =
     Option.map (fun trace -> Attribution.of_trace ~t_fail trace) net_config.Network.trace
   in
+  (* Nothing records into the trace any more: release its spill file, so a
+     traced batch holds open files only for the trials still running. *)
+  Option.iter Trace.close net_config.Network.trace;
   (* Fold the component totals into the telemetry report (read at
      snapshot time below). *)
   (match (tele, attribution) with
@@ -373,11 +375,3 @@ let finalize_traced ?(sidecars = true) pairs results =
       | _ -> Trace.close trace)
     pairs results;
   List.rev !written
-
-let run_mean s ~trials ~metric =
-  let stats = Stats.create () in
-  for i = 0 to trials - 1 do
-    let result = run { s with seed = s.seed + i } in
-    Stats.add stats (metric result)
-  done;
-  Stats.summarize stats

@@ -138,10 +138,6 @@ val topology_of : scenario -> Bgp_topology.Topology.t
 val failure_of : scenario -> Bgp_topology.Topology.t -> Bgp_topology.Failure.t
 (** The failure set {!run} will inject into this topology. *)
 
-val run_mean :
-  scenario -> trials:int -> metric:(result -> float) -> Bgp_engine.Stats.summary
-(** Run [trials] seeds ([seed], [seed+1], ...) and summarize a metric. *)
-
 (** {2 Traced trials}
 
     Tracing a sweep used to mean one shared spill file and hence one
@@ -161,8 +157,10 @@ val traced :
 (** Expand a scenario into [trials] per-trial scenarios (seeds [seed],
     [seed+1], ...), each with a fresh {!Trace.t} attached; with
     [spill_base] each trace spills to {!trace_path}[ ~base:spill_base].
-    The traces are returned so the caller can inspect, {!Trace.finalize}
-    or close them after running.
+    The traces are returned so the caller can inspect or {!Trace.finalize}
+    them after running.  A trace opens its spill file only when it first
+    spills, and {!run} closes it when the trial ends, so a batch of any
+    size holds at most one spill file open per trial running at once.
     @raise Invalid_argument if [trials <= 0]. *)
 
 val finalize_traced :

@@ -343,15 +343,3 @@ let pp_summary ppf r =
     r.probes r.interval
     (if r.dropped > 0 then Printf.sprintf " (%d dropped)" r.dropped else "")
     w_peak t_peak (max_level r)
-
-let pp_bytes ppf b =
-  if b >= 1 lsl 20 then Fmt.pf ppf "%.1f MiB" (float_of_int b /. 1048576.0)
-  else if b >= 1 lsl 10 then Fmt.pf ppf "%.1f KiB" (float_of_int b /. 1024.0)
-  else Fmt.pf ppf "%d B" b
-
-let pp_memory ppf m =
-  Fmt.pf ppf "rib %a over %d shard%s, paths %a (sharing %.2fx), trace %d/%d"
-    pp_bytes m.rib_bytes_total
-    (List.length m.per_shard)
-    (if List.length m.per_shard = 1 then "" else "s")
-    pp_bytes m.path_bytes_total m.path_sharing m.trace_len m.trace_cap

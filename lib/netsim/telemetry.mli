@@ -145,7 +145,3 @@ val export : dir:string -> ?prefix:string -> report -> string list
 val pp_summary : Format.formatter -> report -> unit
 (** One-line human summary (probe count, peak queue work, max MRAI
     level). *)
-
-val pp_memory : Format.formatter -> memory -> unit
-(** One-line human summary of the memory snapshot (RIB/path bytes,
-    sharing ratio, trace occupancy). *)

@@ -310,7 +310,39 @@ let meta_of_json line =
     let obj = J.obj (J.parse line) in
     { seed = J.int (J.field obj "seed"); t_fail = J.float (J.field obj "t_fail") }
 
+(* The one reader of trace JSONL: [f] sees every event of [path] in order;
+   returns the last meta line and the line count.  Errors are values that
+   name the file and, for a line that does not parse, its number. *)
+let read_lines ~paths path f =
+  match open_in path with
+  | exception Sys_error msg -> Error msg
+  | ic ->
+    Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+    let rec go lineno meta =
+      match In_channel.input_line ic with
+      | None -> Ok (meta, lineno - 1)
+      | Some line when is_meta_line line -> (
+        match meta_of_json line with
+        | Ok m -> go (lineno + 1) (Some m)
+        | Error msg -> Error (Printf.sprintf "%s:%d: bad meta line (%s)" path lineno msg))
+      | Some line -> (
+        match event_of_json ~paths line with
+        | Ok event ->
+          f event;
+          go (lineno + 1) meta
+        | Error msg ->
+          Error (Printf.sprintf "%s:%d: truncated or malformed line (%s)" path lineno msg))
+    in
+    go 1 None
+
 (* --- Ring buffer + spill sink --------------------------------------------- *)
+
+(* The spill file is created by the first eviction, not by [create], and
+   only lines this trace wrote are ever read back, extended or removed. *)
+type sink =
+  | Unopened  (* evictions spill; nothing written yet *)
+  | Open of out_channel
+  | Closed of { written : bool }  (* evictions drop; [written]: the file is ours *)
 
 type t = {
   capacity : int;
@@ -320,12 +352,11 @@ type t = {
   mutable dropped : int;
   mutable spilled : int;
   spill : string option;
-  mutable sink : out_channel option;
+  mutable sink : sink;
 }
 
 let create ?(capacity = 100_000) ?spill () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
-  let sink = Option.map open_out spill in
   {
     capacity;
     data = [||];
@@ -334,8 +365,17 @@ let create ?(capacity = 100_000) ?spill () =
     dropped = 0;
     spilled = 0;
     spill;
-    sink;
+    sink = (if spill = None then Closed { written = false } else Unopened);
   }
+
+let sink_channel t =
+  match (t.sink, t.spill) with
+  | Open oc, _ -> Some oc
+  | Unopened, Some path ->
+    let oc = open_out path in
+    t.sink <- Open oc;
+    Some oc
+  | Unopened, None | Closed _, _ -> None
 
 (* Until the ring first fills, [next = size] and the oldest event sits in
    slot 0, so the array only has to wrap once it has reached [capacity]. *)
@@ -350,7 +390,7 @@ let record t event =
   end
   else begin
     (* Evicting the oldest event: spill it if a sink is attached. *)
-    match t.sink with
+    match sink_channel t with
     | Some oc ->
       output_string oc (event_to_json t.data.(t.next));
       output_char oc '\n';
@@ -368,10 +408,20 @@ let spill_path t = t.spill
 
 let close t =
   match t.sink with
-  | Some oc ->
+  | Open oc ->
     close_out oc;
-    t.sink <- None
-  | None -> ()
+    t.sink <- Closed { written = true }
+  | Unopened -> t.sink <- Closed { written = false }
+  | Closed _ -> ()
+
+(* The spill file, flushed, when it holds lines this trace wrote. *)
+let written_file t =
+  match (t.sink, t.spill) with
+  | Open oc, Some path ->
+    flush oc;
+    Some path
+  | Closed { written = true }, Some path -> Some path
+  | _ -> None
 
 (* The [i]-th in-memory event, oldest first. *)
 let nth t i =
@@ -381,29 +431,12 @@ let nth t i =
 let to_list t = List.init t.size (nth t)
 
 let iter_spilled t f =
-  match t.spill with
-  | None -> ()
-  | Some path ->
-    Option.iter flush t.sink;
-    if Sys.file_exists path then begin
-      let paths = Path.create_table () in
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let rec go () =
-            match In_channel.input_line ic with
-            | None -> ()
-            | Some line when is_meta_line line -> go ()
-            | Some line ->
-              (match event_of_json ~paths line with
-              | Ok event -> f event
-              | Error msg ->
-                failwith (Printf.sprintf "Trace.events: bad spilled line (%s): %s" msg line));
-              go ()
-          in
-          go ())
-    end
+  Option.iter
+    (fun path ->
+      match read_lines ~paths:(Path.create_table ()) path f with
+      | Ok _ -> ()
+      | Error msg -> failwith ("Trace.events: " ^ msg))
+    (written_file t)
 
 let events t =
   let spilled = ref [] in
@@ -420,8 +453,9 @@ let finalize t ~meta =
   match t.spill with
   | None -> invalid_arg "Trace.finalize: the trace has no spill file"
   | Some path ->
+    let mode = if written_file t = None then Open_trunc else Open_append in
     close t;
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
+    let oc = open_out_gen [ Open_wronly; Open_creat; mode ] 0o644 path in
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () ->
@@ -434,39 +468,19 @@ let finalize t ~meta =
         output_char oc '\n');
     (* The file is now the complete record; empty the ring so [events]
        (which splices file + ring) does not double-count the tail. *)
+    t.sink <- Closed { written = true };
     t.size <- 0;
     t.next <- 0
 
+(* A truncated write (crash mid-spill, partial copy) is a line that does
+   not parse, typically the last; as a value, it lets a merge over many
+   per-trial files skip or surface the bad file instead of dying. *)
 let read_file ~paths path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        (* A truncated write (crash mid-spill, partial copy) shows up as a
-           line that does not parse — typically the last one.  Report it as
-           a value so a merge over many per-trial files can skip or surface
-           the bad file instead of dying mid-pass. *)
-        let rec go lineno meta acc =
-          match In_channel.input_line ic with
-          | None ->
-            if lineno = 1 then Error (Printf.sprintf "%s: empty trace file" path)
-            else Ok (meta, List.rev acc)
-          | Some line when is_meta_line line ->
-            (match meta_of_json line with
-            | Ok m -> go (lineno + 1) (Some m) acc
-            | Error msg ->
-              Error (Printf.sprintf "%s:%d: bad meta line (%s)" path lineno msg))
-          | Some line ->
-            (match event_of_json ~paths line with
-            | Ok event -> go (lineno + 1) meta (event :: acc)
-            | Error msg ->
-              Error
-                (Printf.sprintf "%s:%d: truncated or malformed line (%s)" path lineno
-                   msg))
-        in
-        go 1 None [])
+  let acc = ref [] in
+  match read_lines ~paths path (fun e -> acc := e :: !acc) with
+  | Ok (_, 0) -> Error (Printf.sprintf "%s: empty trace file" path)
+  | Ok (meta, _) -> Ok (meta, List.rev !acc)
+  | Error _ as e -> e
 
 let count t ~pred = List.length (List.filter pred (to_list t))
 
@@ -502,12 +516,14 @@ let clear t =
   t.next <- 0;
   t.dropped <- 0;
   t.spilled <- 0;
-  match (t.spill, t.sink) with
-  | Some path, Some oc ->
+  let path = written_file t in
+  (match t.sink with
+  | Open oc ->
     close_out oc;
-    t.sink <- Some (open_out path)
-  | Some path, None -> if Sys.file_exists path then Sys.remove path
-  | None, _ -> ()
+    t.sink <- Unopened
+  | Closed _ -> t.sink <- Closed { written = false }
+  | Unopened -> ());
+  Option.iter Sys.remove path
 
 (* --- Structural digest --------------------------------------------------- *)
 

@@ -125,8 +125,11 @@ val create : ?capacity:int -> ?spill:string -> unit -> t
     is allocated up front: the ring starts at 64 slots on the first event
     and doubles as it fills, never past [capacity].  When full, the
     oldest event is overwritten: with [spill] it is first appended to the
-    JSONL file at that path (created/truncated here) and counted in
-    [spilled]; without it the event is lost and counted in [dropped].
+    JSONL file at that path and counted in [spilled]; without it the
+    event is lost and counted in [dropped].  No file is opened here: the
+    first eviction creates (truncates) it, so a trace that never spills
+    holds no file descriptor, and a file already at the path is never
+    read back as this trace's.
     @raise Invalid_argument if [capacity <= 0]. *)
 
 val record : t -> event -> unit
@@ -146,9 +149,11 @@ val to_list : t -> event list
 (** In-memory events, oldest first (excludes spilled events). *)
 
 val events : t -> event list
-(** The complete record, oldest first: spilled events read back from the
-    JSONL file, then the in-memory ring.  Flushes the sink first.
-    @raise Failure if a spilled line does not parse (file tampered). *)
+(** The complete record, oldest first: the events this trace spilled,
+    read back from the JSONL file, then the in-memory ring.  Flushes the
+    sink first.
+    @raise Failure if the file cannot be read or a spilled line does not
+    parse (file tampered); the message names the file and line. *)
 
 val close : t -> unit
 (** Flush and close the spill sink.  Further overwrites count as
@@ -167,8 +172,9 @@ val dump : ?limit:int -> Format.formatter -> t -> unit
 (** Print the most recent [limit] (default 50) in-memory events. *)
 
 val clear : t -> unit
-(** Drop all events (and truncate the spill file, if any).  Ids keep
-    counting. *)
+(** Drop all events and remove the spill file if this trace wrote one;
+    a trace whose sink is still open spills again from the next
+    eviction.  Ids keep counting. *)
 
 val iter : t -> (event -> unit) -> unit
 (** Visit the complete record — the same events, in the same order, as
@@ -202,8 +208,10 @@ val meta_to_json : run_meta -> string
 
 val finalize : t -> meta:run_meta -> unit
 (** Close the sink, append the in-memory tail and the meta line to the
-    spill file — making the file the complete record — and empty the
-    ring (so {!events}, which re-reads the file, stays duplicate-free).
+    events this trace spilled — making the file the complete record —
+    and empty the ring (so {!events}, which re-reads the file, stays
+    duplicate-free).  A trace that spilled nothing creates the file
+    here, truncating whatever was at the path.
     @raise Invalid_argument if the trace has no spill file. *)
 
 val read_file :

@@ -94,20 +94,6 @@ let settle net adj ~config ~paths ~dest =
 let settle_table net =
   if Network.shard_count net = 1 then Network.paths net else Bgp_proto.Path.create_table ()
 
-let best_paths net ~dest =
-  let adj = session_adjacency net in
-  let config =
-    (* All routers share one protocol config in this simulator. *)
-    Network.bgp_config net
-  in
-  let best = settle net adj ~config ~paths:(settle_table net) ~dest in
-  Array.map
-    (function
-      | None -> None
-      | Some Local -> Some Bgp_proto.Path.empty
-      | Some (Learned e) -> Some e.Rib.path)
-    best
-
 let install net =
   if Network.relationships net <> None then
     invalid_arg

@@ -14,7 +14,3 @@ val install : Network.t -> unit
 (** Install the steady state into every router of a freshly built (not yet
     started) network: Adj-RIB-In, Loc-RIB and Adj-RIB-Out for every
     destination.  Do not also call {!Network.start_all}. *)
-
-val best_paths : Network.t -> dest:int -> Bgp_proto.Types.path option array
-(** The computed steady-state selection per router for one destination
-    (exposed for tests). *)

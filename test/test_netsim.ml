@@ -495,6 +495,79 @@ let test_trace_clear_resets () =
   checki "no stale drops" 0 (Trace.dropped t);
   Alcotest.check times_t "fresh order" [ 7.0; 8.0 ] (trace_times t)
 
+let temp_path prefix =
+  let p = Filename.temp_file prefix ".jsonl" in
+  Sys.remove p;
+  p
+
+(* The spill file appears with the first eviction, not with [create]:
+   a traced campaign opens no file for a trial that never spills. *)
+let test_spill_file_lazy () =
+  let path = temp_path "bgpsim_lazy" in
+  let t = Trace.create ~capacity:2 ~spill:path () in
+  checkb "no file after create" false (Sys.file_exists path);
+  List.iter (fun time -> Trace.record t (fail_at time)) [ 1.0; 2.0 ];
+  checkb "no file while the ring has room" false (Sys.file_exists path);
+  Trace.record t (fail_at 3.0);
+  checkb "the first eviction creates it" true (Sys.file_exists path);
+  Alcotest.check times_t "spilled, then the ring" [ 1.0; 2.0; 3.0 ]
+    (List.map Trace.time_of (Trace.events t));
+  Trace.close t;
+  Sys.remove path
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* [events] and [read_file] share one reader: a spilled line that no
+   longer parses is reported with its file and line number. *)
+let test_spilled_line_located () =
+  let path = temp_path "bgpsim_corrupt" in
+  let t = Trace.create ~capacity:1 ~spill:path () in
+  List.iter (fun time -> Trace.record t (fail_at time)) [ 1.0; 2.0; 3.0 ];
+  Trace.close t;
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Trace.event_to_json (fail_at 1.0) ^ "\n{\"type\":\"router_fa\n"));
+  (match Trace.events t with
+  | _ -> Alcotest.fail "a corrupt spilled line must raise"
+  | exception Failure msg ->
+    let want = path ^ ":2:" in
+    checkb (Printf.sprintf "%S names %s" msg want) true (contains msg want));
+  Sys.remove path
+
+(* A run closes its trace's spill file when it ends: running many traced,
+   spilling trials one after another leaves no more files open than
+   before (checked where /proc/self/fd lists them). *)
+let test_traced_runs_release_files () =
+  let dir = temp_path "bgpsim_traced" in
+  Sys.mkdir dir 0o755;
+  let open_fds () =
+    if Sys.file_exists "/proc/self/fd" then Some (Array.length (Sys.readdir "/proc/self/fd"))
+    else None
+  in
+  let base =
+    Runner.scenario
+      ~net:(Network.config_default Config.default)
+      ~failure:(Runner.Fraction 0.1) ~seed:1
+      (Runner.Flat { spec = Degree_dist.skewed_70_30; n = 8 })
+  in
+  let pairs =
+    Runner.traced ~capacity:16 ~spill_base:(Filename.concat dir "t.jsonl") base ~trials:12
+  in
+  let before = open_fds () in
+  let results = List.map (fun (s, _) -> Runner.run s) pairs in
+  let after = open_fds () in
+  List.iter
+    (fun (_, trace) -> checkb "every trial spilled" true (Trace.spilled trace > 0))
+    pairs;
+  (match (before, after) with
+  | Some b, Some a -> checki "no spill file left open" b a
+  | _ -> ());
+  ignore (Runner.finalize_traced ~sidecars:false pairs results);
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 let test_trace_records_network_events () =
   let topo = fixed_topo 4 [ (0, 1); (1, 2); (2, 3); (3, 0) ] in
   let trace = Trace.create () in
@@ -595,16 +668,21 @@ let arb_ring_case =
            (frequency [ (12, map (fun e -> Record e) gen_event); (1, return Clear); (1, return Finalize) ])))
 
 (* The ring's documented behaviour over plain lists: the last [capacity]
-   events in memory, evictions spilled while the sink is open (else
-   dropped), [clear] truncating (or, once finalized, deleting) the file,
-   [finalize] appending the tail and a meta line and closing the sink. *)
+   events in memory; evictions spilled until [finalize] (else dropped),
+   the first one replacing whatever file was at the path; [clear]
+   deleting the lines this trace wrote; [finalize] appending the tail and
+   a meta line to them (or replacing the file if it spilled nothing) and
+   closing the sink.  Only lines this trace wrote are ever read back. *)
 type model = {
   mutable mem : Trace.event list;  (* oldest first *)
-  mutable file : string list option;  (* spill lines, oldest first *)
-  mutable sink_open : bool;
+  mutable file : string list option;  (* lines at the spill path; None: no file *)
+  mutable spilling : bool;  (* evictions go to the file *)
+  mutable ours : bool;  (* [file] holds lines this trace wrote *)
   mutable m_dropped : int;
   mutable m_spilled : int;
 }
+
+let written m = if m.ours then Option.value ~default:[] m.file else []
 
 let meta = { Trace.seed = 7; t_fail = 1.5 }
 
@@ -613,8 +691,9 @@ let model_step cap m = function
     if List.length m.mem = cap then begin
       let oldest = List.hd m.mem in
       m.mem <- List.tl m.mem;
-      if m.sink_open then begin
-        m.file <- Some (Option.value ~default:[] m.file @ [ Trace.event_to_json oldest ]);
+      if m.spilling then begin
+        m.file <- Some (written m @ [ Trace.event_to_json oldest ]);
+        m.ours <- true;
         m.m_spilled <- m.m_spilled + 1
       end
       else m.m_dropped <- m.m_dropped + 1
@@ -624,14 +703,14 @@ let model_step cap m = function
     m.mem <- [];
     m.m_dropped <- 0;
     m.m_spilled <- 0;
-    if m.file <> None || m.sink_open then m.file <- (if m.sink_open then Some [] else None)
+    if m.ours then begin
+      m.file <- None;
+      m.ours <- false
+    end
   | Finalize ->
-    m.sink_open <- false;
-    m.file <-
-      Some
-        (Option.value ~default:[] m.file
-        @ List.map Trace.event_to_json m.mem
-        @ [ Trace.meta_to_json meta ]);
+    m.spilling <- false;
+    m.file <- Some (written m @ List.map Trace.event_to_json m.mem @ [ Trace.meta_to_json meta ]);
+    m.ours <- true;
     m.mem <- []
 
 let read_bytes path =
@@ -647,18 +726,34 @@ let jsons = List.map Trace.event_to_json
 let prop_ring_matches_model =
   QCheck.Test.make ~count:300 ~name:"trace ring matches a list model" arb_ring_case
     (fun (cap, spill, ops) ->
-      let path = if spill then Some (Filename.temp_file "bgpsim_ring" ".jsonl") else None in
+      (* A stale line already at the spill path must never be read back
+         or extended. *)
+      let stale = "stale" in
+      let path =
+        if spill then begin
+          let p = Filename.temp_file "bgpsim_ring" ".jsonl" in
+          Out_channel.with_open_bin p (fun oc -> output_string oc (stale ^ "\n"));
+          Some p
+        end
+        else None
+      in
       let t = Trace.create ~capacity:cap ?spill:path () in
       let m =
-        { mem = []; file = (if spill then Some [] else None); sink_open = spill; m_dropped = 0; m_spilled = 0 }
+        {
+          mem = [];
+          file = (if spill then Some [ stale ] else None);
+          spilling = spill;
+          ours = false;
+          m_dropped = 0;
+          m_spilled = 0;
+        }
       in
       let fail fmt = QCheck.Test.fail_reportf fmt in
       let check step =
         let spilled_events =
-          match m.file with
-          | None -> []
-          | Some lines ->
-            List.filter (fun l -> not (String.starts_with ~prefix:"{\"type\":\"meta\"" l)) lines
+          List.filter
+            (fun l -> not (String.starts_with ~prefix:"{\"type\":\"meta\"" l))
+            (written m)
         in
         if jsons (Trace.to_list t) <> jsons m.mem then fail "%s: to_list" step;
         if jsons (Trace.events t) <> spilled_events @ jsons m.mem then fail "%s: events" step;
@@ -1104,11 +1199,8 @@ let test_hold_timer_detection () =
      by the hold time: everything happens between [hold - keepalive] and
      just after [hold]. *)
   let topo = fixed_topo 4 [ (0, 1); (1, 2); (2, 3); (3, 0) ] in
-  let session =
-    { Bgp_proto.Session.default_config with Bgp_proto.Session.hold_time = 9.0 }
-  in
   let net_config =
-    { (Network.config_default Config.default) with Network.detection = Network.Hold_timer session }
+    { (Network.config_default Config.default) with Network.detection = Network.Hold_timer 9.0 }
   in
   let scenario =
     Runner.scenario ~net:net_config ~failure:(Runner.Routers [ 2 ]) ~seed:1
@@ -1119,6 +1211,72 @@ let test_hold_timer_detection () =
   checkb "invariants hold" true (r.Runner.issues = []);
   checkb "delay at least hold - keepalive" true (r.Runner.convergence_delay >= 9.0 *. 0.75 -. 3.0);
   checkb "delay not much beyond hold" true (r.Runner.convergence_delay <= 9.0 +. 60.0)
+
+(* Every [Session_down] a failed router caused, as (failure time,
+   notice time), over a traced 10% failure of a flat 24-node network. *)
+let failure_notices ~detection ~seed =
+  let trace = Trace.create ~capacity:1_000_000 () in
+  let net =
+    {
+      (Network.config_default Config.(with_mrai (Static 1.25) default)) with
+      Network.detection;
+      trace = Some trace;
+    }
+  in
+  ignore
+    (Runner.run
+       (Runner.scenario ~net ~failure:(Runner.Fraction 0.1) ~seed
+          (Runner.Flat { spec = Degree_dist.skewed_70_30; n = 24 })));
+  let events = Trace.events trace in
+  let failed = Hashtbl.create 8 in
+  List.iter
+    (function
+      | Trace.Router_failed { id; time; _ } -> Hashtbl.replace failed id time | _ -> ())
+    events;
+  List.filter_map
+    (function
+      | Trace.Session_down { time; cause; _ } ->
+        Option.map (fun at -> (at, time)) (Hashtbl.find_opt failed cause)
+      | _ -> None)
+    events
+
+(* The sampled session model: the hold time carries RFC 1771 jitter
+   (x U(0.75, 1)) and a keepalive goes out every third of it, so a
+   survivor notices a failed peer between half a hold and a full hold
+   after the failure, at a delay that varies per session. *)
+let test_hold_timer_delay_bounds () =
+  let h = 9.0 in
+  let delays =
+    List.concat_map
+      (fun seed ->
+        let notices = failure_notices ~detection:(Network.Hold_timer h) ~seed in
+        checkb (Printf.sprintf "seed %d: failures noticed" seed) true (notices <> []);
+        List.map
+          (fun (at, time) ->
+            checkb
+              (Printf.sprintf "seed %d: noticed at %.17g, failed at %.17g" seed time at)
+              true
+              (time >= at +. (h /. 2.0) && time <= at +. h);
+            time -. at)
+          notices)
+      [ 1; 2; 3; 4 ]
+  in
+  checkb "the delays vary" true (List.exists (fun d -> d <> List.hd delays) delays)
+
+(* With a link signal every survivor notices exactly [detection_delay]
+   after the failure. *)
+let test_link_signal_delay_exact () =
+  let delay = (Network.config_default Config.default).Network.detection_delay in
+  List.iter
+    (fun seed ->
+      let notices = failure_notices ~detection:Network.Link_signal ~seed in
+      checkb (Printf.sprintf "seed %d: failures noticed" seed) true (notices <> []);
+      List.iter
+        (fun (at, time) ->
+          checkb (Printf.sprintf "seed %d: noticed at failure + %g" seed delay) true
+            (time = at +. delay))
+        notices)
+    [ 1; 2; 3; 4 ]
 
 let () =
   Alcotest.run "netsim"
@@ -1178,6 +1336,11 @@ let () =
           Alcotest.test_case "records network events" `Quick
             test_trace_records_network_events;
           Alcotest.test_case "digest across hashing chunks" `Quick test_digest_across_chunks;
+          Alcotest.test_case "spill file created by first eviction" `Quick
+            test_spill_file_lazy;
+          Alcotest.test_case "bad spilled line located" `Quick test_spilled_line_located;
+          Alcotest.test_case "traced runs release spill files" `Quick
+            test_traced_runs_release_files;
         ]
         @ List.map
             (QCheck_alcotest.to_alcotest ~long:false ~rand:(Random.State.make [| 16 |]))
@@ -1211,5 +1374,8 @@ let () =
         [
           Alcotest.test_case "detection delay" `Quick test_detection_delay_config;
           Alcotest.test_case "hold-timer detection" `Quick test_hold_timer_detection;
+          Alcotest.test_case "hold-timer delays in [h/2, h]" `Quick
+            test_hold_timer_delay_bounds;
+          Alcotest.test_case "link-signal delay exact" `Quick test_link_signal_delay_exact;
         ] );
     ]

@@ -7,7 +7,7 @@
    matter how often the directory is rescanned; status carries the chaos
    battery tally and the telemetry counters; a corrupt drop is reported
    once, not once per scan; and the socket protocol answers a real
-   client end to end. *)
+   client end to end, also behind clients that stall. *)
 
 module Attribution = Bgp_netsim.Attribution
 module Serve = Bgp_experiments.Serve
@@ -219,18 +219,16 @@ let test_control_char_in_first_error () =
       ("report", fun o -> J.field (J.obj (J.field o "sources")) "first_error");
     ]
 
-(* One real socket round trip: fork a server bounded by --max-requests,
-   hang up on it once, query it as a client, and let the shutdown
-   request stop it. *)
-let test_socket_roundtrip () =
-  let dir = fresh_dir () in
+(* Fork a server over [dir] bounded by [max_requests], wait for its
+   socket, and run [f socket]; then ask it to shut down, reap it and
+   remove [dir]. *)
+let with_server ~max_requests dir f =
   let socket = Filename.concat dir "serve.sock" in
-  drop dir ~seed:1 ~delay:2.0 ();
   match Unix.fork () with
   | 0 ->
-    (* Child: serve until the shutdown below; _exit skips alcotest's
-       at_exit machinery. *)
-    (try Serve.run ~max_requests:8 ~scan_interval:0.05 ~socket ~dir () with _ -> ());
+    (* Child: serve until shutdown; _exit skips alcotest's at_exit
+       machinery. *)
+    (try Serve.run ~max_requests ~scan_interval:0.05 ~socket ~dir () with _ -> ());
     Unix._exit 0
   | pid ->
     Fun.protect
@@ -239,7 +237,6 @@ let test_socket_roundtrip () =
         ignore (Unix.waitpid [] pid);
         rm_rf dir)
     @@ fun () ->
-    (* Wait for the socket to appear. *)
     let rec await n =
       if Sys.file_exists socket then ()
       else if n = 0 then Alcotest.fail "server socket never appeared"
@@ -249,21 +246,94 @@ let test_socket_roundtrip () =
       end
     in
     await 100;
-    (* A client that sends a request and hangs up without reading the
-       reply must not take the server down with it. *)
-    let hang_up = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect hang_up (Unix.ADDR_UNIX socket);
-    ignore (Unix.write_substring hang_up "report\n" 0 7);
-    Unix.close hang_up;
-    let s1 = Serve.request ~socket "status" in
-    checkb "status over socket" true (contains s1 "\"trials\":1");
-    (* A second trial dropped while the server runs is visible to the
-       next request — the live part of “live”. *)
-    drop dir ~seed:2 ~delay:3.0 ();
-    let s2 = Serve.request ~socket "status" in
-    checkb "new sidecar visible" true (contains s2 "\"trials\":2");
-    let ack = Serve.request ~socket "shutdown" in
-    checkb "shutdown acked" true (contains ack "\"shutdown\":true")
+    f socket
+
+(* One real socket round trip: hang up on the server once, query it as a
+   client, and let the shutdown request stop it. *)
+let test_socket_roundtrip () =
+  let dir = fresh_dir () in
+  drop dir ~seed:1 ~delay:2.0 ();
+  with_server ~max_requests:8 dir @@ fun socket ->
+  (* A client that sends a request and hangs up without reading the
+     reply must not take the server down with it. *)
+  let hang_up = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect hang_up (Unix.ADDR_UNIX socket);
+  ignore (Unix.write_substring hang_up "report\n" 0 7);
+  Unix.close hang_up;
+  let s1 = Serve.request ~socket "status" in
+  checkb "status over socket" true (contains s1 "\"trials\":1");
+  (* A second trial dropped while the server runs is visible to the
+     next request — the live part of “live”. *)
+  drop dir ~seed:2 ~delay:3.0 ();
+  let s2 = Serve.request ~socket "status" in
+  checkb "new sidecar visible" true (contains s2 "\"trials\":2");
+  let ack = Serve.request ~socket "shutdown" in
+  checkb "shutdown acked" true (contains ack "\"shutdown\":true")
+
+(* Open one connection per entry of [sends], write that entry and leave
+   the connection open; [f] runs while they are held, and they are closed
+   before the server is asked to shut down. *)
+let with_stalled socket sends f =
+  let fds =
+    List.map
+      (fun s ->
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX socket);
+        ignore (Unix.write_substring fd s 0 (String.length s));
+        fd)
+      sends
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds)
+    f
+
+(* A status query with the client's own receive timeout of [bound]
+   seconds: a server that never answers fails the test instead of
+   hanging it.  Returns the reply and the seconds it took. *)
+let timed_status ~bound socket =
+  let t0 = Unix.gettimeofday () in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO bound;
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  ignore (Unix.write_substring fd "status\n" 0 7);
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  let buf = Buffer.create 1024 and chunk = Bytes.create 4096 in
+  let rec read () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | n ->
+      Buffer.add_subbytes buf chunk 0 n;
+      read ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Alcotest.failf "no status answer within %g s" bound
+  in
+  read ();
+  (Buffer.contents buf, Unix.gettimeofday () -. t0)
+
+(* The loop serves one connection at a time.  A client that connects and
+   says nothing, and one that sends half a request line, must each cost
+   the others no more than the one-second I/O timeout. *)
+let test_stalled_clients () =
+  let dir = fresh_dir () in
+  drop dir ~seed:1 ~delay:2.0 ();
+  with_server ~max_requests:8 dir @@ fun socket ->
+  with_stalled socket [ ""; "sta" ] @@ fun () ->
+  let bound = 6.0 in
+  let reply, took = timed_status ~bound socket in
+  checkb "status answered behind two stalled clients" true (contains reply "\"trials\":1");
+  checkb (Printf.sprintf "answered within %g s (took %.2f s)" bound took) true (took < bound)
+
+(* A connection dropped on a timeout carried no request: a server bounded
+   to one request still answers the next client after it. *)
+let test_timeouts_not_counted () =
+  let dir = fresh_dir () in
+  drop dir ~seed:1 ~delay:2.0 ();
+  with_server ~max_requests:1 dir @@ fun socket ->
+  with_stalled socket [ "" ] @@ fun () ->
+  let reply, _ = timed_status ~bound:6.0 socket in
+  checkb "the one counted request is the status query" true (contains reply "\"trials\":1")
 
 let () =
   Alcotest.run "serve"
@@ -281,5 +351,10 @@ let () =
           Alcotest.test_case "control byte in first_error" `Quick
             test_control_char_in_first_error;
         ] );
-      ("socket", [ Alcotest.test_case "fork + query + shutdown" `Quick test_socket_roundtrip ]);
+      ( "socket",
+        [
+          Alcotest.test_case "fork + query + shutdown" `Quick test_socket_roundtrip;
+          Alcotest.test_case "stalled clients time out" `Quick test_stalled_clients;
+          Alcotest.test_case "timeouts are not requests" `Quick test_timeouts_not_counted;
+        ] );
     ]

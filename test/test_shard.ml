@@ -118,6 +118,14 @@ let faulted_scenario =
   in
   { flat_scenario with Runner.faults = Some schedule }
 
+(* Hold-timer detection draws every delay from one stream in global
+   (failed router, peer) order, so it too is layout-free. *)
+let hold_timer_scenario =
+  {
+    flat_scenario with
+    Runner.net = { flat_scenario.Runner.net with Network.detection = Network.Hold_timer 9.0 };
+  }
+
 (* --- Partition properties ------------------------------------------------- *)
 
 let topo_gen =
@@ -206,6 +214,8 @@ let () =
             (shard_invariance "tdown" link_failure_scenario);
           Alcotest.test_case "chaotic fault schedule" `Quick
             (shard_invariance "faulted" faulted_scenario);
+          Alcotest.test_case "hold-timer detection" `Quick
+            (shard_invariance "hold-timer" hold_timer_scenario);
         ] );
       ( "partition properties",
         List.map (QCheck_alcotest.to_alcotest ~long:false)
