@@ -846,19 +846,21 @@ let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Only print the summa
 let prof_arg =
   Arg.(value & opt (some string) None
        & info [ "prof" ] ~docv:"PATH"
-           ~doc:"Profile the run's own wall time and write a bgp-prof/1 JSON report \
-                 to PATH: per-domain compute / barrier-wait / mailbox spans (one set \
-                 per shard), pool busy/queue-wait, runner phase boundaries, scheduler \
-                 slab high-water and per-domain GC deltas.  The profiler reads only \
-                 the monotonic clock and GC statistics, so every simulation output \
-                 is bit-identical with and without it.")
+           ~doc:"Profile the run's own wall time and write a bgp-prof/2 JSON report \
+                 to PATH: per domain, one row per span kind and shard (compute / \
+                 barrier-wait / mailbox spans per shard, pool job/queue-wait, runner \
+                 phases) with its exact total and self time, count and max; scheduler \
+                 slab high-water counters; and the session's GC delta.  The profiler \
+                 reads only the monotonic clock and GC statistics, so every simulation \
+                 output is bit-identical with and without it.")
 
 let prof_flame_arg =
   Arg.(value & opt (some string) None
        & info [ "prof-flame" ] ~docv:"PATH"
            ~doc:"Also write the profile as collapsed-stack lines \
-                 ('domain;shard;span microseconds') to PATH for inferno / \
-                 flamegraph.pl / speedscope.  Implies profiling even without --prof.")
+                 ('domain;shard;span self-microseconds') to PATH for inferno / \
+                 flamegraph.pl / speedscope; a domain's lines sum to at most the \
+                 wall time.  Implies profiling even without --prof.")
 
 let run_term =
   Term.(

@@ -63,8 +63,8 @@ let run ids full trials csv_dir jobs prof =
     if jobs > 0 then Pool.set_default_jobs jobs;
     Fmt.pr "figures: %d trials/point, %d-node flat topologies, %d jobs@."
       opts.Scenarios.trials opts.Scenarios.n (Pool.default_jobs ());
-    (* Armed before the first simulation so pool job/wait accumulators
-       and runner phase spans cover every figure. *)
+    (* Armed before the first simulation so pool job/wait and runner
+       phase spans cover every figure. *)
     if prof <> None then Profile.start ();
     let pass = ref 0 and total = ref 0 in
     List.iter
@@ -121,8 +121,9 @@ let jobs =
 let prof =
   Arg.(value & opt (some string) None
        & info [ "prof" ] ~docv:"PATH"
-           ~doc:"Profile the whole run's wall time (pool job/wait accumulators, runner \
-                 phases, GC deltas) and write a bgp-prof/1 JSON report to PATH.")
+           ~doc:"Profile the whole run's wall time (pool job/wait spans, runner phases \
+                 and the windows inside them, each with its exact total and self time; \
+                 the session's GC delta) and write a bgp-prof/2 JSON report to PATH.")
 
 let cmd =
   let doc = "regenerate the paper's evaluation figures and the ablation studies" in

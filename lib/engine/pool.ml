@@ -87,15 +87,15 @@ let map ?jobs f xs =
              instead of depending on which domain noticed a flag first. *)
           let prof = Profile.on () in
           let rec loop () =
-            let p0 = if prof then Profile.now_ns () else 0L in
+            if prof then Profile.enter Pool_wait ~shard:(-1);
             let t_take = now () in
             let next = take queue in
             w_wait.(w) <- w_wait.(w) +. (now () -. t_take);
-            if prof then Profile.accum Pool_wait p0;
+            if prof then Profile.leave ();
             match next with
             | None -> ()
             | Some i ->
-              let p0 = if prof then Profile.now_ns () else 0L in
+              if prof then Profile.enter Pool_job ~shard:(-1);
               let t_job = now () in
               (match f input.(i) with
               | y -> results.(i) <- Some y
@@ -104,7 +104,7 @@ let map ?jobs f xs =
                 record_failure failed i e bt);
               w_busy.(w) <- w_busy.(w) +. (now () -. t_job);
               w_jobs.(w) <- w_jobs.(w) + 1;
-              if prof then Profile.accum Pool_job p0;
+              if prof then Profile.leave ();
               loop ()
           in
           loop ()

@@ -31,8 +31,9 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
     Each worker times its own job executions and its waits on the work
     deque; {!last_batch} reports them for the most recent [map] call.
-    Under an armed {!Profile} session the same intervals also accumulate
-    as [Pool_job] / [Pool_wait] spans. *)
+    Under an armed {!Profile} session the same intervals are also
+    [Pool_job] / [Pool_wait] spans, so a job's own spans nest in its
+    [Pool_job]. *)
 
 type domain_stat = {
   domain : int;  (** worker index within the batch; 0 is the caller *)

@@ -77,7 +77,8 @@ let shards t = t.k
 let sched t i = t.scheds.(i)
 
 let post t ~src ~dst m =
-  let t0 = if Profile.on () then Profile.now_ns () else 0L in
+  let prof = Profile.on () in
+  if prof then Profile.enter Mailbox_post ~shard:(-1);
   let b = t.boxes.((src * t.k) + dst) in
   (* A source posts in its own execution order, which the simulator's
      key already follows unless a fault stretches some deliveries; one
@@ -86,7 +87,7 @@ let post t ~src ~dst m =
   | last :: _ when b.sorted && t.compare last m > 0 -> b.sorted <- false
   | _ -> ());
   b.msgs <- m :: b.msgs;
-  if Profile.on () then Profile.accum Mailbox_post t0
+  if prof then Profile.leave ()
 
 let drain_into t dst ~deliver =
   (* Hand everything addressed to [dst] to [deliver] in the order of the
@@ -127,18 +128,18 @@ let run_phase t ~lookahead ~cap ~deliver ?at_barrier () =
     let prof = Profile.on () in
     let continue = ref true in
     while !continue do
-      let t0 = if prof then Profile.now_ns () else 0L in
+      if prof then Profile.enter Barrier_wait ~shard:d;
       Barrier.wait t.barrier (* B1: previous window done, posts visible *);
-      if prof then Profile.record Barrier_wait ~shard:d t0;
-      let t0 = if prof then Profile.now_ns () else 0L in
+      if prof then Profile.leave ();
+      if prof then Profile.enter Mailbox_drain ~shard:d;
       (if t.excs.(d) = None then
          try drain_into t d ~deliver with e -> t.excs.(d) <- Some e);
-      if prof then Profile.record Mailbox_drain ~shard:d t0;
-      let t0 = if prof then Profile.now_ns () else 0L in
+      if prof then Profile.leave ();
+      if prof then Profile.enter Barrier_wait ~shard:d;
       Barrier.wait t.barrier (* B2: mailboxes empty, deliveries queued *);
-      if prof then Profile.record Barrier_wait ~shard:d t0;
+      if prof then Profile.leave ();
       if d = 0 then begin
-        let t0 = if prof then Profile.now_ns () else 0L in
+        if prof then Profile.enter Decide ~shard:0;
         let failed = Array.exists Option.is_some t.excs in
         let next = ref None in
         if not failed then
@@ -161,19 +162,19 @@ let run_phase t ~lookahead ~cap ~deliver ?at_barrier () =
                t.excs.(0) <- Some e;
                Stop)
           | Some _ | None -> Stop);
-        if prof then Profile.record Decide ~shard:0 t0
+        if prof then Profile.leave ()
       end;
-      let t0 = if prof then Profile.now_ns () else 0L in
+      if prof then Profile.enter Barrier_wait ~shard:d;
       Barrier.wait t.barrier (* B3: decision visible *);
-      if prof then Profile.record Barrier_wait ~shard:d t0;
+      if prof then Profile.leave ();
       match t.decision with
       | Stop -> continue := false
       | Window stop ->
         if t.excs.(d) = None then (
-          let t0 = if prof then Profile.now_ns () else 0L in
+          if prof then Profile.enter Compute ~shard:d;
           (try Scheduler.run_window t.scheds.(d) ~stop ~cap
            with e -> t.excs.(d) <- Some e);
-          if prof then Profile.record Compute ~shard:d t0)
+          if prof then Profile.leave ())
     done
   in
   if t.k = 1 then worker 0

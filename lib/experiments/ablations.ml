@@ -5,9 +5,6 @@ module Mrai = Bgp_core.Mrai_controller
 module Iq = Bgp_core.Input_queue
 module Degree_dist = Bgp_topology.Degree_dist
 
-let delay r = r.Runner.convergence_delay
-let messages r = float_of_int r.Runner.messages
-
 (* Ablations use a trimmed failure-size grid: one small, one large. *)
 let ablation_sizes (opts : Scenarios.opts) =
   match opts.sizes with
@@ -16,18 +13,10 @@ let ablation_sizes (opts : Scenarios.opts) =
     let small = List.hd sizes and large = List.hd (List.rev sizes) in
     if small = large then [ small ] else [ small; large ]
 
-let series (opts : Scenarios.opts) ~label ~metric make_scenario =
-  (* Prefetch the whole series so the trial fan-out parallelises across
-     points, not one point at a time. *)
-  let scenarios = List.map (fun frac -> (frac, make_scenario frac)) (ablation_sizes opts) in
-  Sweep.prefetch (List.map (fun (_, s) -> (s, opts.trials)) scenarios);
-  {
-    Figure.label;
-    points =
-      List.map
-        (fun (frac, s) -> Sweep.point s ~trials:opts.trials ~x:(frac *. 100.0) ~metric)
-        scenarios;
-  }
+let series opts ~label ~metric make_scenario =
+  Figures.series_over opts ~label ~metric ~xs:(ablation_sizes opts)
+    ~x_of:(fun frac -> frac *. 100.0)
+    make_scenario
 
 let flat_scenario (opts : Scenarios.opts) config frac =
   Runner.scenario
@@ -35,7 +24,7 @@ let flat_scenario (opts : Scenarios.opts) config frac =
     ~failure:(Runner.Fraction frac) ~seed:opts.seed
     (Runner.Flat { spec = Degree_dist.skewed_70_30; n = opts.n })
 
-let config_series opts ~label ?(metric = delay) config =
+let config_series opts ~label ?(metric = Figures.delay) config =
   series opts ~label ~metric (fun frac -> flat_scenario opts config frac)
 
 (* --- Overload detectors (Section 4.3) ----------------------------------- *)
@@ -147,7 +136,9 @@ let deshpande_sikdar_messages opts =
     xlabel = "failure %";
     ylabel = "update messages";
     series =
-      List.map (fun (label, c) -> config_series opts ~label ~metric:messages c) ds_configs;
+      List.map
+        (fun (label, c) -> config_series opts ~label ~metric:Figures.messages c)
+        ds_configs;
     paper_expectation = "the bypasses pay for their speed in update messages";
   }
 
@@ -203,8 +194,8 @@ let loop_check opts =
     ylabel = "update messages";
     series =
       [
-        config_series opts ~label:"check on" ~metric:messages base;
-        config_series opts ~label:"check off" ~metric:messages
+        config_series opts ~label:"check on" ~metric:Figures.messages base;
+        config_series opts ~label:"check off" ~metric:Figures.messages
           { base with Config.sender_side_loop_check = false };
       ];
     paper_expectation =
@@ -218,7 +209,7 @@ let size_scaling (opts : Scenarios.opts) =
   let series_for n =
     series opts
       ~label:(Printf.sprintf "%d nodes" n)
-      ~metric:delay
+      ~metric:Figures.delay
       (fun frac ->
         Runner.scenario
           ~net:(Network.config_default Config.(with_mrai (Static 1.25) default))
@@ -245,7 +236,7 @@ let prefix_scaling (opts : Scenarios.opts) =
     in
     series opts
       ~label:(Printf.sprintf "%d prefixes/AS" ppa)
-      ~metric:delay
+      ~metric:Figures.delay
       (fun frac ->
         Runner.scenario
           ~net:(Network.config_default config)
@@ -269,7 +260,7 @@ let prefix_scaling (opts : Scenarios.opts) =
 let policies opts =
   let base = Config.(with_mrai (Static 1.25) default) in
   let s label policies =
-    series opts ~label ~metric:delay (fun frac ->
+    series opts ~label ~metric:Figures.delay (fun frac ->
         Runner.scenario
           ~net:(Network.config_default base)
           ~failure:(Runner.Fraction frac) ~seed:opts.seed ~policies
@@ -317,7 +308,7 @@ let detection opts =
     { (Network.config_default base) with Network.detection }
   in
   let s label net_config =
-    series opts ~label ~metric:delay (fun frac ->
+    series opts ~label ~metric:Figures.delay (fun frac ->
         Runner.scenario ~net:net_config ~failure:(Runner.Fraction frac) ~seed:opts.seed
           (Runner.Flat { spec = Degree_dist.skewed_70_30; n = opts.n }))
   in

@@ -5,6 +5,23 @@
     curves in the paper.  Pass {!Scenarios.quick} for a cut-down smoke
     version, {!Scenarios.default} for the paper-scale version. *)
 
+val delay : Bgp_netsim.Runner.result -> float
+val messages : Bgp_netsim.Runner.result -> float
+(** A trial's convergence delay (s) and its update messages after the
+    failure: the metrics the figures plot. *)
+
+val series_over :
+  Scenarios.opts ->
+  label:string ->
+  metric:(Bgp_netsim.Runner.result -> float) ->
+  xs:'a list ->
+  x_of:('a -> float) ->
+  ('a -> Bgp_netsim.Runner.scenario) ->
+  Figure.series
+(** One curve: a scenario per x, all prefetched in one batch so the
+    trials fan out across the whole series, then one {!Sweep.point} per x
+    plotted at [x_of x].  The ablations build their curves with it too. *)
+
 val fig01 : Scenarios.opts -> Figure.t
 (** Convergence delay vs failure size for MRAI 0.5 / 1.25 / 2.25 s. *)
 

@@ -225,7 +225,7 @@ let by_time_id a b =
    ring, drop and spill accounting: a traced run holds one copy of its
    events. *)
 let flush_trace t trace ~horizon =
-  let t0 = if Profile.on () then Profile.now_ns () else 0L in
+  Profile.within Merge @@ fun () ->
   let ready = ref [] in
   Array.iter
     (fun ctx ->
@@ -242,10 +242,9 @@ let flush_trace t trace ~horizon =
           ready := List.rev_append now !ready
         end)
     t.ctxs;
-  (match !ready with
+  match !ready with
   | [] -> ()
-  | evs -> List.iter (Trace.record trace) (List.stable_sort by_time_id evs));
-  if Profile.on () then Profile.accum Merge t0
+  | evs -> List.iter (Trace.record trace) (List.stable_sort by_time_id evs)
 
 let next_event_time t =
   Array.fold_left

@@ -120,42 +120,43 @@ let run_gen ?inspect s =
   if shards < 1 then invalid_arg "Runner.run: sharding must be >= 1";
   (* Wall-clock phase spans: reads of the monotonic clock only, so the
      run is bit-identical with profiling off and on. *)
-  let prof = Profile.on () in
-  let p0 = if prof then Profile.now_ns () else 0L in
-  let root = Rng.create s.seed in
-  let rng_topo = Rng.split root in
-  let rng_net = Rng.split root in
-  (* The fault stream is split only when a schedule is present: fault-free
-     runs draw exactly what they always did (the goldens pin this), and a
-     chaotic run is still a pure function of the seed. *)
-  let rng_faults = Option.map (fun _ -> Rng.split root) s.faults in
-  let rng_sample = Option.map (fun _ -> Rng.split root) s.dest_sample in
-  let topo = make_topology rng_topo s.topo in
-  (match Topology.validate topo with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Runner.run: bad topology: " ^ msg));
-  let net_config =
-    if s.policies then
-      { s.net with Network.relationships = Some (Relationships.infer topo) }
-    else s.net
+  let rng_faults, topo, net_config, tele, net =
+    Profile.within Build @@ fun () ->
+    let root = Rng.create s.seed in
+    let rng_topo = Rng.split root in
+    let rng_net = Rng.split root in
+    (* The fault stream is split only when a schedule is present: fault-free
+       runs draw exactly what they always did (the goldens pin this), and a
+       chaotic run is still a pure function of the seed. *)
+    let rng_faults = Option.map (fun _ -> Rng.split root) s.faults in
+    let rng_sample = Option.map (fun _ -> Rng.split root) s.dest_sample in
+    let topo = make_topology rng_topo s.topo in
+    (match Topology.validate topo with
+    | Ok () -> ()
+    | Error msg -> invalid_arg ("Runner.run: bad topology: " ^ msg));
+    let net_config =
+      if s.policies then
+        { s.net with Network.relationships = Some (Relationships.infer topo) }
+      else s.net
+    in
+    let net_config = apply_dest_sample s topo rng_sample net_config in
+    (* Telemetry lives per run: the config only carries the spec, the
+       instance (and hence all recorded state) is private to this trial. *)
+    let tele = Option.map Telemetry.create net_config.Network.telemetry in
+    let owner =
+      if shards = 1 then None
+      else Some (Bgp_topology.Partition.compute ~shards ~seed:s.seed topo).owner
+    in
+    let lookahead =
+      Fault_injector.lookahead ~link_delay:net_config.Network.link_delay
+        (Option.value ~default:[] s.faults)
+    in
+    let net =
+      Network.build ~shards ?owner ~lookahead ~rng:rng_net ~config:net_config
+        ?telemetry:tele topo
+    in
+    (rng_faults, topo, net_config, tele, net)
   in
-  let net_config = apply_dest_sample s topo rng_sample net_config in
-  (* Telemetry lives per run: the config only carries the spec, the
-     instance (and hence all recorded state) is private to this trial. *)
-  let tele = Option.map Telemetry.create net_config.Network.telemetry in
-  let owner =
-    if shards = 1 then None
-    else Some (Bgp_topology.Partition.compute ~shards ~seed:s.seed topo).owner
-  in
-  let lookahead =
-    Fault_injector.lookahead ~link_delay:net_config.Network.link_delay
-      (Option.value ~default:[] s.faults)
-  in
-  let net =
-    Network.build ~shards ?owner ~lookahead ~rng:rng_net ~config:net_config
-      ?telemetry:tele topo
-  in
-  if prof then Profile.record Build p0;
   (* Probe ticks ride the barrier windows: [at_barrier] runs
      single-threaded once per window with the window's start time, the
      only point where cross-shard router state is stable.  Tick times are
@@ -170,22 +171,21 @@ let run_gen ?inspect s =
   in
   (* Phase 1: reach steady state — by cold-start simulation (as in the
      paper) or by direct analytic construction. *)
-  let p0 = if prof then Profile.now_ns () else 0L in
-  (match s.warmup with
-  | Simulated ->
-    Network.start_all net;
-    let at_barrier =
-      match tele with
-      | Some t when (Telemetry.conf t).Telemetry.probe_warmup ->
-        next_probe := (Telemetry.conf t).Telemetry.probe_interval;
-        Some (probe_hook t)
-      | Some _ | None -> None
-    in
-    Network.run ?at_barrier net ~cap:s.sim_time_cap
-  | Analytic ->
-    if s.policies then invalid_arg "Runner.run: analytic warm-up is policy-free only";
-    Warmup.install net);
-  if prof then Profile.record Warmup p0;
+  Profile.within Warmup (fun () ->
+      match s.warmup with
+      | Simulated ->
+        Network.start_all net;
+        let at_barrier =
+          match tele with
+          | Some t when (Telemetry.conf t).Telemetry.probe_warmup ->
+            next_probe := (Telemetry.conf t).Telemetry.probe_interval;
+            Some (probe_hook t)
+          | Some _ | None -> None
+        in
+        Network.run ?at_barrier net ~cap:s.sim_time_cap
+      | Analytic ->
+        if s.policies then invalid_arg "Runner.run: analytic warm-up is policy-free only";
+        Warmup.install net);
   let warmup_converged = Network.pending net = 0 in
   let warmup_delay = Network.last_activity net in
   let warmup_messages = Network.messages_sent net in
@@ -196,31 +196,33 @@ let run_gen ?inspect s =
   (* Phase 2: the orchestrator (single-threaded, every domain parked)
      injects the failure at a time strictly above every shard clock, then
      releases the shards. *)
-  let p0 = if prof then Profile.now_ns () else 0L in
-  let failure = make_failure topo s.failure in
-  let t_fail = Network.now net +. 1.0 in
-  Network.inject_failure net ~at:t_fail failure;
-  (match s.failure with
-  | Links links -> Network.inject_link_failures net ~at:t_fail links
-  | Fraction _ | Routers _ | No_failure -> ());
-  (match (s.faults, rng_faults) with
-  | Some schedule, Some rng ->
-    Network.enable_faults net ~rng;
-    Fault_injector.install net ~t_fail schedule
-  | _ -> ());
-  (* Steady-state churn: arm the workload ops as causal roots relative to
-     [t_fail] and observe settle times + windowed throughput.  The hooks
-     are pure observation, so the churn-free path schedules exactly what
-     it always did. *)
-  let monitor =
-    match s.churn with
-    | None -> None
-    | Some schedule ->
-      let m = Churn.monitor net ~t0:t_fail ~window:s.churn_window in
-      Churn.install net ~t_fail schedule;
-      Some (schedule, m)
+  let failure, t_fail, monitor =
+    Profile.within Fail @@ fun () ->
+    let failure = make_failure topo s.failure in
+    let t_fail = Network.now net +. 1.0 in
+    Network.inject_failure net ~at:t_fail failure;
+    (match s.failure with
+    | Links links -> Network.inject_link_failures net ~at:t_fail links
+    | Fraction _ | Routers _ | No_failure -> ());
+    (match (s.faults, rng_faults) with
+    | Some schedule, Some rng ->
+      Network.enable_faults net ~rng;
+      Fault_injector.install net ~t_fail schedule
+    | _ -> ());
+    (* Steady-state churn: arm the workload ops as causal roots relative to
+       [t_fail] and observe settle times + windowed throughput.  The hooks
+       are pure observation, so the churn-free path schedules exactly what
+       it always did. *)
+    let monitor =
+      match s.churn with
+      | None -> None
+      | Some schedule ->
+        let m = Churn.monitor net ~t0:t_fail ~window:s.churn_window in
+        Churn.install net ~t_fail schedule;
+        Some (schedule, m)
+    in
+    (failure, t_fail, monitor)
   in
-  if prof then Profile.record Fail p0;
   let at_barrier =
     match tele with
     | Some t ->
@@ -252,10 +254,9 @@ let run_gen ?inspect s =
             f ~now;
             churn_hook ~now))
   in
-  let p0 = if prof then Profile.now_ns () else 0L in
-  Network.run ?at_barrier net ~cap:(t_fail +. s.sim_time_cap);
-  if prof then Profile.record Converge p0;
-  let p0 = if prof then Profile.now_ns () else 0L in
+  Profile.within Converge (fun () ->
+      Network.run ?at_barrier net ~cap:(t_fail +. s.sim_time_cap));
+  Profile.within Finalize @@ fun () ->
   (* End-of-run hook: the chaos harness reads per-router queue/RIB state
      here, before the network goes out of scope.  Pure reads only. *)
   (match inspect with Some f -> f net | None -> ());
@@ -300,7 +301,7 @@ let run_gen ?inspect s =
   (match tele with
   | Some t -> Telemetry.set_memory t (Network.memory_snapshot net)
   | None -> ());
-  if prof then begin
+  if Profile.on () then
     for shard = 0 to shards - 1 do
       let ssched = Network.shard_sched net shard in
       Profile.counter_max
@@ -310,8 +311,6 @@ let run_gen ?inspect s =
         (Printf.sprintf "sched.slab_cap.shard%d" shard)
         (Sched.slab_capacity ssched)
     done;
-    Profile.record Finalize p0
-  end;
   {
     converged;
     warmup_delay;

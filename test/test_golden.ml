@@ -159,6 +159,16 @@ let check_telemetry_neutral name scenario golden () =
     checkb (ctx "paths interned") true (counter "path.interned" > 0.0);
     checkb (ctx "intern hits") true (counter "path.intern_hits" > 0.0)
 
+let span_count (rep : Profile.report) ~f =
+  List.fold_left
+    (fun acc (d : Profile.domain_report) ->
+      List.fold_left
+        (fun acc (s : Profile.span_total) -> if f s then acc + s.Profile.count else acc)
+        acc d.Profile.spans)
+    0 rep.Profile.domains
+
+let warmups rep = span_count rep ~f:(fun s -> s.Profile.kind = Profile.Warmup)
+
 (* Arming the wall-clock profiler must not perturb any golden either: it
    reads only the monotonic clock and GC statistics, never simulated
    state, so all 12 pinned results stay bit-identical with --prof on. *)
@@ -168,12 +178,7 @@ let check_profiler_neutral name scenario golden () =
   match Profile.stop () with
   | None -> Alcotest.fail (name ^ ": profiler was armed but returned no report")
   | Some rep ->
-    checkb (name ^ ": profiler recorded phase spans") true
-      (List.exists
-         (fun (d : Profile.domain_report) ->
-           List.exists (fun (s : Profile.span) -> Profile.phase_kind s.Profile.kind)
-             d.Profile.spans)
-         rep.Profile.domains)
+    checki (name ^ ": one warmup span per trial") (Array.length golden) (warmups rep)
 
 (* Same bit-identity at two shards, where the hot loop runs real
    barriers and carries the per-window span instrumentation; the
@@ -206,15 +211,12 @@ let check_profiler_neutral_sharded name scenario () =
       match rep with
       | None -> Alcotest.fail (name ^ ": profiler was armed but returned no report")
       | Some rep ->
+        checki (Printf.sprintf "%s seed+%d: one warmup span" name i) 1 (warmups rep);
         checkb (Printf.sprintf "%s seed+%d: per-shard compute spans recorded" name i)
           true
-          (List.exists
-             (fun (d : Profile.domain_report) ->
-               List.exists
-                 (fun (s : Profile.span) ->
-                   s.Profile.kind = Profile.Compute && s.Profile.shard >= 0)
-                 d.Profile.spans)
-             rep.Profile.domains))
+          (span_count rep ~f:(fun s ->
+               s.Profile.kind = Profile.Compute && s.Profile.shard >= 0)
+          > 0))
     [| 0; 1; 2; 3 |]
 
 let () =

@@ -336,14 +336,16 @@ let prop_writers_reprint =
 
 let test_profile_reprint () =
   Profile.start ();
-  Profile.record Profile.Compute ~shard:0 (Profile.now_ns ());
-  Profile.counter_add "test.adds" 2;
+  Profile.within Profile.Warmup (fun () ->
+      Profile.enter Profile.Compute ~shard:0;
+      Profile.leave ());
+  Profile.counter_max "test.high_water" 2;
   let prof =
     match Profile.stop () with
     | Some r -> Profile.to_json r
     | None -> Alcotest.fail "no report"
   in
-  reprints "bgp-prof/1" prof
+  reprints "bgp-prof/2" prof
 
 let () =
   let qc = QCheck_alcotest.to_alcotest ~long:false ~rand:(Random.State.make [| 15 |]) in

@@ -381,63 +381,149 @@ let test_export_writes_files () =
       checkb (p ^ " non-empty") true (len > 0))
     paths
 
-(* --- Profiler report (bgp-prof/1) ------------------------------------------- *)
+(* --- Profiler report (bgp-prof/2) ------------------------------------------- *)
+
+let stop_exn () =
+  match Profile.stop () with
+  | Some r -> r
+  | None -> Alcotest.fail "armed profiler returned no report"
+
+let rows kind (spans : Profile.span_total list) =
+  List.filter (fun (s : Profile.span_total) -> s.Profile.kind = kind) spans
+
+let all_rows (r : Profile.report) =
+  List.concat_map (fun (d : Profile.domain_report) -> d.Profile.spans) r.Profile.domains
+
+let sum field spans = List.fold_left (fun acc s -> acc + field s) 0 spans
+let count kind spans = sum (fun s -> s.Profile.count) (rows kind spans)
+let total kind spans = sum (fun s -> s.Profile.total_ns) (rows kind spans)
+let self_sum spans = sum (fun s -> s.Profile.self_ns) spans
+
+let caller_spans (r : Profile.report) =
+  let mine (d : Profile.domain_report) = d.Profile.dom = (Domain.self () :> int) in
+  match List.find_opt mine r.Profile.domains with
+  | Some d -> d.Profile.spans
+  | None -> Alcotest.fail "no report for the calling domain"
 
 let test_prof_json_roundtrip () =
   Profile.start ();
-  let t0 = Profile.now_ns () in
-  Profile.record Profile.Compute ~shard:2 t0;
-  Profile.record Profile.Build t0;
-  Profile.accum Profile.Mailbox_post (Profile.now_ns ());
-  Profile.counter_add "test.adds" 3;
+  Profile.enter Profile.Compute ~shard:2;
+  Profile.leave ();
+  Profile.within Profile.Build ignore;
   Profile.counter_max "test.high_water" 7;
   Profile.counter_max "test.high_water" 5;
-  match Profile.stop () with
-  | None -> Alcotest.fail "armed profiler returned no report"
-  | Some r ->
-    checkb "wall nonnegative" true (r.Profile.wall_ns >= 0L);
-    checkb "stop disarms" true (Profile.stop () = None);
-    let json = J.parse (Profile.to_json r) in
-    let str k j = Option.bind (member k j) to_str in
-    let num k j = Option.bind (member k j) to_float in
-    checkb "schema" true (str "schema" json = Some "bgp-prof/1");
-    checkb "wall_s present" true (num "wall_s" json <> None);
-    let domains =
-      match Option.bind (member "domains" json) to_list with
-      | Some (_ :: _ as l) -> l
-      | _ -> Alcotest.fail "no domains array"
-    in
-    let spans =
-      List.concat_map
-        (fun d ->
-          Option.value ~default:[]
-            (Option.bind (member "spans" d) to_list))
-        domains
-    in
-    checkb "compute span at shard 2 survives the round-trip" true
-      (List.exists
-         (fun s -> str "span" s = Some "compute" && num "shard" s = Some 2.0)
-         spans);
-    checkb "build span at shard -1" true
-      (List.exists
-         (fun s -> str "span" s = Some "build" && num "shard" s = Some (-1.0))
-         spans);
-    (match
-       Option.bind (member "counters" json)
-         (member "test.high_water")
-     with
-    | Some v -> checkb "counter_max keeps the max" true (to_float v = Some 7.0)
-    | None -> Alcotest.fail "counters object missing test.high_water");
-    (* Every flamegraph line is "stack<space>integer". *)
-    String.split_on_char '\n' (Profile.to_flamegraph r)
-    |> List.iter (fun line ->
-           if line <> "" then
-             match String.rindex_opt line ' ' with
-             | None -> Alcotest.failf "malformed flamegraph line %S" line
-             | Some i ->
-               let v = String.sub line (i + 1) (String.length line - i - 1) in
-               if int_of_string_opt v = None then
-                 Alcotest.failf "flamegraph value not an integer in %S" line)
+  let r = stop_exn () in
+  checkb "wall nonnegative" true (r.Profile.wall_ns >= 0);
+  checkb "stop disarms" true (Profile.stop () = None);
+  let json = J.parse (Profile.to_json r) in
+  let str k j = Option.bind (member k j) to_str in
+  let num k j = Option.bind (member k j) to_float in
+  checkb "schema" true (str "schema" json = Some "bgp-prof/2");
+  checkb "wall_s present" true (num "wall_s" json <> None);
+  checkb "one session gc block" true
+    (Option.bind (member "gc" json) (num "minor_words") <> None);
+  let domains =
+    match Option.bind (member "domains" json) to_list with
+    | Some (_ :: _ as l) -> l
+    | _ -> Alcotest.fail "no domains array"
+  in
+  let spans =
+    List.concat_map
+      (fun d -> Option.value ~default:[] (Option.bind (member "spans" d) to_list))
+      domains
+  in
+  List.iter
+    (fun s ->
+      List.iter
+        (fun k -> if num k s = None then Alcotest.failf "span row without %s" k)
+        [ "shard"; "total_s"; "self_s"; "count"; "max_s" ])
+    spans;
+  let has span shard =
+    List.exists (fun s -> str "span" s = Some span && num "shard" s = Some shard) spans
+  in
+  checkb "compute span at shard 2 survives the round-trip" true (has "compute" 2.0);
+  checkb "build span at shard -1" true (has "build" (-1.0));
+  (match Option.bind (member "counters" json) (member "test.high_water") with
+  | Some v -> checkb "counter_max keeps the max" true (to_float v = Some 7.0)
+  | None -> Alcotest.fail "counters object missing test.high_water");
+  (* Every flamegraph line is "stack<space>integer". *)
+  String.split_on_char '\n' (Profile.to_flamegraph r)
+  |> List.iter (fun line ->
+         if line <> "" then
+           match String.rindex_opt line ' ' with
+           | None -> Alcotest.failf "malformed flamegraph line %S" line
+           | Some i ->
+             let v = String.sub line (i + 1) (String.length line - i - 1) in
+             if int_of_string_opt v = None then
+               Alcotest.failf "flamegraph value not an integer in %S" line)
+
+(* Totals are kept per (kind, shard) as spans close, so every span of a
+   long run is counted, not only a fixed-size buffer's worth. *)
+let test_prof_exact_counts () =
+  Profile.start ();
+  for _ = 1 to 200_000 do
+    Profile.enter Profile.Compute ~shard:0;
+    Profile.leave ()
+  done;
+  let spans = caller_spans (stop_exn ()) in
+  match rows Profile.Compute spans with
+  | [ row ] ->
+    checki "every span counted" 200_000 row.Profile.count;
+    checki "shard tag kept" 0 row.Profile.shard;
+    checki "a leaf's self is its total" row.Profile.total_ns row.Profile.self_ns;
+    checkb "max within total" true
+      (row.Profile.max_ns > 0 && row.Profile.max_ns <= row.Profile.total_ns)
+  | l -> Alcotest.failf "expected one compute row, got %d" (List.length l)
+
+(* A closing span hands its duration to the span it closed inside, so
+   the self-times of a phase and everything nested in it sum to the
+   phase's total, with no clock reads left over. *)
+let test_prof_self_times_tile () =
+  Profile.start ();
+  Profile.within Profile.Converge (fun () ->
+      for shard = 0 to 2 do
+        Profile.enter Profile.Compute ~shard;
+        Profile.enter Profile.Mailbox_post ~shard:(-1);
+        Profile.leave ();
+        Profile.leave ();
+        Profile.enter Profile.Barrier_wait ~shard;
+        Profile.leave ()
+      done);
+  let spans = caller_spans (stop_exn ()) in
+  checki "one converge span" 1 (count Profile.Converge spans);
+  checki "compute at three shards" 3 (List.length (rows Profile.Compute spans));
+  checki "sum of self-times is the phase total" (total Profile.Converge spans)
+    (self_sum spans);
+  checki "compute self is compute minus the posts inside it"
+    (total Profile.Compute spans - total Profile.Mailbox_post spans)
+    (self_sum (rows Profile.Compute spans))
+
+(* A job that raises inside a scoped phase closes the phase and then its
+   pool_job on the way out, so after [Pool.map] re-raises, every domain's
+   stack is empty again and the caller's next span is top level. *)
+let test_prof_raise_unwinds () =
+  Profile.start ();
+  (try
+     Profile.within Profile.Finalize (fun () ->
+         ignore
+           (Pool.map ~jobs:2
+              (fun _ -> Profile.within Profile.Warmup (fun () -> raise Exit))
+              [ 1; 2; 3; 4; 5; 6 ]))
+   with Exit -> ());
+  Profile.within Profile.Converge ignore;
+  let r = stop_exn () in
+  let all = all_rows r in
+  checki "every raising warm-up closed" 6 (count Profile.Warmup all);
+  checki "every raising job closed" 6 (count Profile.Pool_job all);
+  checki "every take closed" 8 (count Profile.Pool_wait all);
+  let spans = caller_spans r in
+  checki "the phase around the pool closed once" 1 (count Profile.Finalize spans);
+  (match rows Profile.Converge spans with
+  | [ c ] -> checki "next span nests at top level" c.Profile.total_ns c.Profile.self_ns
+  | _ -> Alcotest.fail "expected one converge row");
+  checki "the caller's self-times sum to its two top-level spans"
+    (total Profile.Finalize spans + total Profile.Converge spans)
+    (self_sum spans)
 
 (* --- Pool runtime metrics --------------------------------------------------- *)
 
@@ -460,38 +546,35 @@ let test_pool_domain_stats () =
     checki "ran everything" 3 d.Pool.jobs
   | l -> Alcotest.failf "expected one domain stat, got %d" (List.length l)
 
-(* Under an armed profile every worker accumulates one pool_job per job
-   and one pool_wait per take from the deque, the final empty take
-   included; [figures --prof] reports these rows. *)
-let test_pool_profile_accums () =
+(* Under an armed profile every worker records one pool_job per job and
+   one pool_wait per take from the deque, the final empty take included;
+   a job's own spans nest in its pool_job.  [figures --prof] reports
+   these rows. *)
+let test_pool_profile_spans () =
   Profile.start ();
-  let _ = Pool.map ~jobs:2 (fun x -> x * x) [ 1; 2; 3; 4; 5; 6 ] in
-  match Profile.stop () with
-  | None -> Alcotest.fail "armed profiler returned no report"
-  | Some r ->
-    let json = J.parse (Profile.to_json r) in
-    let rows =
-      Option.value ~default:[] (Option.bind (member "domains" json) to_list)
-      |> List.concat_map (fun d ->
-             Option.value ~default:[] (Option.bind (member "accums" d) to_list))
-    in
-    let count span =
-      List.fold_left
-        (fun acc row ->
-          if Option.bind (member "span" row) to_str = Some span then
-            acc + int_of_float (Option.value ~default:0.0 (Option.bind (member "count" row) to_float))
-          else acc)
-        0 rows
-    in
-    checki "one pool_job per job" 6 (count "pool_job");
-    checki "one pool_wait per take, two workers' empty takes included" 8
-      (count "pool_wait");
-    List.iter
-      (fun row ->
-        match Option.bind (member "total_s" row) to_float with
-        | Some s -> checkb "accumulated total nonnegative" true (s >= 0.0)
-        | None -> Alcotest.fail "accumulator row without total_s")
-      rows
+  let _ =
+    Pool.map ~jobs:2
+      (fun x -> Profile.within Profile.Warmup (fun () -> x * x))
+      [ 1; 2; 3; 4; 5; 6 ]
+  in
+  let r = stop_exn () in
+  let all = all_rows r in
+  checki "one warmup per job" 6 (count Profile.Warmup all);
+  checki "one pool_job per job" 6 (count Profile.Pool_job all);
+  checki "one pool_wait per take, two workers' empty takes included" 8
+    (count Profile.Pool_wait all);
+  List.iter
+    (fun (d : Profile.domain_report) ->
+      match rows Profile.Pool_job d.Profile.spans with
+      | [] -> ()
+      | [ job ] ->
+        checki
+          (Printf.sprintf "domain %d: pool_job self is its total minus its warm-ups"
+             d.Profile.dom)
+          (job.Profile.total_ns - total Profile.Warmup d.Profile.spans)
+          job.Profile.self_ns
+      | _ -> Alcotest.fail "pool_job split across shards")
+    r.Profile.domains
 
 let () =
   Alcotest.run "telemetry"
@@ -534,11 +617,17 @@ let () =
         ] );
       ( "profile",
         [
-          Alcotest.test_case "bgp-prof/1 round-trip" `Quick test_prof_json_roundtrip;
+          Alcotest.test_case "bgp-prof/2 round-trip" `Quick test_prof_json_roundtrip;
+          Alcotest.test_case "exact counts past 65536 spans" `Quick
+            test_prof_exact_counts;
+          Alcotest.test_case "nested self-times tile the phase" `Quick
+            test_prof_self_times_tile;
+          Alcotest.test_case "raising job unwinds its spans" `Quick
+            test_prof_raise_unwinds;
         ] );
       ( "pool",
         [
           Alcotest.test_case "per-domain stats" `Quick test_pool_domain_stats;
-          Alcotest.test_case "profile accumulators" `Quick test_pool_profile_accums;
+          Alcotest.test_case "profile spans" `Quick test_pool_profile_spans;
         ] );
     ]
