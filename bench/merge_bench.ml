@@ -14,7 +14,7 @@
 
    Run with:  dune exec bench/merge_bench.exe -- [--quick] [--json PATH] *)
 
-module Sweep = Bgp_experiments.Sweep
+module Pool = Bgp_engine.Pool
 module Runner = Bgp_netsim.Runner
 module Merge = Bgp_netsim.Attr_merge
 
@@ -68,9 +68,11 @@ let () =
   in
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let gen_wall, (_, sidecars) =
+  let gen_wall, sidecars =
     time (fun () ->
-        Sweep.traced_archived ~spill_base:(Filename.concat dir "t.jsonl") scenario ~trials)
+        let spill_base = Filename.concat dir "t.jsonl" in
+        let pairs = Runner.traced ~spill_base scenario ~trials in
+        Runner.finalize_traced pairs (Pool.map (fun (s, _) -> Runner.run s) pairs))
   in
   Fmt.pr "campaign: %d trials (%d routers) generated in %.1fs, %d sidecars@." trials
     nodes gen_wall (List.length sidecars);

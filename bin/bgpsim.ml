@@ -342,21 +342,6 @@ let run_main opts trials jobs trace_n trace_file probe_interval telemetry_dir pr
          full-universe messages ~ %.0f mean@."
         k (100.0 *. frac)
         ((Bgp_engine.Stats.summarize msgs).Bgp_engine.Stats.mean /. frac));
-    (* Where the trial pool's wall time went: per-domain busy vs deque
-       wait for the last batch (the trials themselves, since the trial
-       fan-out is the only pool call here). *)
-    if jobs > 1 && not quiet then
-      (match Bgp_engine.Pool.last_batch () with
-      | [] -> ()
-      | per_domain ->
-        Fmt.pr "pool (last batch):@.";
-        List.iter
-          (fun (d : Bgp_engine.Pool.domain_stat) ->
-            Fmt.pr "  domain %2d: %3d job%s, busy %7.3f s, wait %7.3f s@." d.domain
-              d.jobs
-              (if d.jobs = 1 then " " else "s")
-              d.busy d.wait)
-          per_domain);
     (match (List.nth_opt traces 0, trace_n) with
     | Some (Some trace), Some limit ->
       Fmt.pr "@.last %d trace events of trial 0 (%d in memory, %d spilled, %d dropped):@."

@@ -4,14 +4,17 @@
     mutex-protected work deque; each worker repeatedly takes the next
     pending job).  Results are returned in input order, so for a pure
     job function the output is bit-identical to [List.map] regardless
-    of the job count or of which domain ran which job.  [jobs = 1] (or
-    a single-element input) runs entirely in the calling domain with no
-    domain spawned at all.
+    of the job count or of which domain ran which job.  Every call runs
+    the same worker loop, with [max 1 (min jobs n)] workers for [n]
+    jobs.  Worker 0 is the calling domain, so one worker ([jobs = 1],
+    or at most one job) spawns no domain at all.
 
     Exceptions: if one or more jobs raise, the pool drains, joins every
     worker domain (no domain leak), and re-raises — deterministically,
     the exception of the raising job with the {e lowest} input index,
-    with its original backtrace. *)
+    with its original backtrace.  Every job runs before that re-raise,
+    whatever the job count: with one worker, the jobs after a failing
+    one still run first. *)
 
 val default_jobs : unit -> int
 (** Process-wide default used when [?jobs] is omitted.  Initially
@@ -29,19 +32,16 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
 (** {1 Instrumentation}
 
-    Each worker times its own job executions and its waits on the work
-    deque; {!last_batch} reports them for the most recent [map] call.
-    Under an armed {!Profile} session the same intervals are also
-    [Pool_job] / [Pool_wait] spans, so a job's own spans nest in its
-    [Pool_job]. *)
+    Under an armed {!Profile} session each worker records its job
+    executions as [Pool_job] spans and its takes from the work deque as
+    [Pool_wait] spans, at every job count, so a job's own spans nest in
+    its [Pool_job].  The pool keeps no clock of its own. *)
 
 type domain_stat = {
   domain : int;  (** worker index within the batch; 0 is the caller *)
   jobs : int;  (** jobs this worker executed *)
-  busy : float;  (** wall seconds this worker spent inside jobs *)
-  wait : float;  (** wall seconds this worker spent taking from the deque *)
 }
 
 val last_batch : unit -> domain_stat list
-(** Per-domain breakdown of the most recent [map] call (one entry per
+(** Per-worker job counts of the most recent [map] call (one entry per
     worker, caller first).  Empty before the first call. *)

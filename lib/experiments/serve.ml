@@ -20,10 +20,10 @@ type t = {
   mutable last_scan : float;  (* wall clock of the last completed scan *)
 }
 
-let create ?worst_capacity ~dir () =
+let create ~dir () =
   {
     dir;
-    acc = M.create ?worst_capacity ();
+    acc = M.create ();
     seen = Hashtbl.create 256;
     started = Unix.gettimeofday ();
     churn = [];
@@ -283,12 +283,12 @@ let write_all fd s =
 (* Seconds a connection may block the loop in one read or write. *)
 let io_timeout = 1.0
 
-let run ?worst_capacity ?max_requests ?(scan_interval = 0.5) ~socket ~dir () =
+let run ?max_requests ?(scan_interval = 0.5) ~socket ~dir () =
   (* A client that hangs up before reading its reply ends only its own
      connection: the write then fails with EPIPE (caught below) instead
      of raising SIGPIPE, which would kill the server. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let t = create ?worst_capacity ~dir () in
+  let t = create ~dir () in
   ignore (scan t);
   if Sys.file_exists socket then Sys.remove socket;
   let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in

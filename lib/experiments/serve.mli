@@ -3,7 +3,7 @@
 
     A server watches one directory for attribution sidecars
     ([*.attr.json], {!Bgp_netsim.Attribution.sidecar}) as a sweep
-    ({!Sweep.traced_archived}, [bgpsim --trace-file]) or a chaos
+    ({!Bgp_netsim.Runner.finalize_traced}, [bgpsim --trace-file]) or a chaos
     campaign ([bgpsim chaos --sidecar-dir]) drops them, folds each new
     one into a streaming {!Bgp_netsim.Attr_merge} accumulator exactly
     once, and answers requests over a Unix-domain stream socket.  Churn
@@ -42,7 +42,7 @@
 
 type t
 
-val create : ?worst_capacity:int -> dir:string -> unit -> t
+val create : dir:string -> unit -> t
 (** A watcher over [dir] (which need not exist yet — a campaign may
     create it after the server starts). *)
 
@@ -61,7 +61,6 @@ val handle : t -> string -> string
     sockets. *)
 
 val run :
-  ?worst_capacity:int ->
   ?max_requests:int ->
   ?scan_interval:float ->
   socket:string ->

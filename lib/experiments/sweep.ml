@@ -20,77 +20,18 @@ let key scenario trials =
 let trial_scenarios scenario trials =
   List.init trials (fun i -> { scenario with Runner.seed = scenario.Runner.seed + i })
 
-(* With [lock] held: wait out any in-flight computation of [k]; either
-   return the cached result or install a Computing claim for the caller. *)
-let rec find_or_claim k =
-  match Hashtbl.find_opt cache k with
-  | Some (Done r) -> `Hit r
-  | Some Computing ->
-    Condition.wait cond lock;
-    find_or_claim k
-  | None ->
-    Hashtbl.replace cache k Computing;
-    `Claimed
-
-(* Resolve claims after computing outside the lock.  On failure the
-   claims are simply dropped so a later caller retries.  A concurrent
-   [clear_cache] may have removed a claim already; only still-pending
-   markers are touched. *)
-let fill_done k r =
-  Hashtbl.replace cache k (Done r)
-
+(* Claims are dropped when their computation fails, so a later caller
+   retries.  A concurrent [clear_cache] may have removed a claim already;
+   only still-pending markers are touched. *)
 let drop_claim k =
   match Hashtbl.find_opt cache k with
   | Some Computing -> Hashtbl.remove cache k
   | Some (Done _) | None -> ()
 
-let results ?jobs scenario ~trials =
-  let k = key scenario trials in
-  Mutex.lock lock;
-  match find_or_claim k with
-  | `Hit r ->
-    Mutex.unlock lock;
-    r
-  | `Claimed ->
-    Mutex.unlock lock;
-    (match Pool.map ?jobs Runner.run (trial_scenarios scenario trials) with
-    | r ->
-      Mutex.lock lock;
-      fill_done k r;
-      Condition.broadcast cond;
-      Mutex.unlock lock;
-      r
-    | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      Mutex.lock lock;
-      drop_claim k;
-      Condition.broadcast cond;
-      Mutex.unlock lock;
-      Printexc.raise_with_backtrace e bt)
-
-(* Traced runs bypass the memo cache entirely: a trial's result is now
-   tied to its trace (and its spill file on disk), which a cache hit
-   would not reproduce — and the cache key Marshals the scenario, which
-   a Trace.t's out_channel cannot survive anyway. *)
-let traced_results ?jobs ?capacity ?spill_base scenario ~trials =
-  let pairs = Runner.traced ?capacity ?spill_base scenario ~trials in
-  let results = Pool.map ?jobs (fun (s, _) -> Runner.run s) pairs in
-  List.map2 (fun r (_, trace) -> (r, trace)) results pairs
-
-(* The campaign-producing variant: run traced, then finalize every trace
-   file and drop the bgp-attr-sidecar/1 sidecar next to it, so the sweep
-   directory is immediately mergeable (O(trials)) and watchable
-   (`bgpsim serve`) — no open traces escape. *)
-let traced_archived ?jobs ?capacity ~spill_base scenario ~trials =
-  let pairs = Runner.traced ?capacity ~spill_base scenario ~trials in
-  let results = Pool.map ?jobs (fun (s, _) -> Runner.run s) pairs in
-  let sidecars = Runner.finalize_traced pairs results in
-  (results, sidecars)
-
-let prefetch ?jobs specs =
+(* [specs] carry their keys, so each key is digested once per request. *)
+let fill ?jobs specs =
   (* Claim every uncached key in one pass; a key listed twice is only
      claimed once (the second occurrence sees the Computing marker). *)
-  let specs = List.map (fun (s, t) -> (key s t, s, t)) specs in
   Mutex.lock lock;
   let claimed =
     List.filter
@@ -124,7 +65,7 @@ let prefetch ?jobs specs =
           in
           let mine, tl = split t [] !rest in
           rest := tl;
-          fill_done k mine)
+          Hashtbl.replace cache k (Done mine))
         claimed;
       Condition.broadcast cond;
       Mutex.unlock lock
@@ -135,6 +76,32 @@ let prefetch ?jobs specs =
       Condition.broadcast cond;
       Mutex.unlock lock;
       Printexc.raise_with_backtrace e bt)
+
+let prefetch ?jobs specs = fill ?jobs (List.map (fun (s, t) -> (key s t, s, t)) specs)
+
+(* Fill the entry (a no-op when it is cached or another domain is
+   computing it), then wait for it.  An entry that is gone again was a
+   failed claim some other domain dropped, or [clear_cache] removed it:
+   claim it afresh. *)
+let results ?jobs scenario ~trials =
+  let k = key scenario trials in
+  (* With [lock] held. *)
+  let rec await () =
+    match Hashtbl.find_opt cache k with
+    | Some (Done r) -> Some r
+    | Some Computing ->
+      Condition.wait cond lock;
+      await ()
+    | None -> None
+  in
+  let rec go () =
+    fill ?jobs [ (k, scenario, trials) ];
+    Mutex.lock lock;
+    let r = await () in
+    Mutex.unlock lock;
+    match r with Some r -> r | None -> go ()
+  in
+  go ()
 
 let summary metric results =
   let stats = Stats.create () in

@@ -19,34 +19,10 @@ val results :
   ?jobs:int -> Bgp_netsim.Runner.scenario -> trials:int -> Bgp_netsim.Runner.result list
 (** Runs seeds [scenario.seed .. scenario.seed + trials - 1] (memoized).
     Independent of [jobs] — parallel and sequential runs return
-    structurally identical results. *)
-
-val traced_results :
-  ?jobs:int ->
-  ?capacity:int ->
-  ?spill_base:string ->
-  Bgp_netsim.Runner.scenario ->
-  trials:int ->
-  (Bgp_netsim.Runner.result * Bgp_netsim.Trace.t) list
-(** Like {!results} but with every trial traced ({!Bgp_netsim.Runner.traced}):
-    each trial gets its own trace, spilling to a seed-suffixed file when
-    [spill_base] is given, so traced sweeps parallelize like untraced
-    ones.  Never cached — a trial's value is its trace, which a memo hit
-    would not reproduce.  Traces are returned open; callers
-    {!Bgp_netsim.Trace.finalize} (or [close]) them. *)
-
-val traced_archived :
-  ?jobs:int ->
-  ?capacity:int ->
-  spill_base:string ->
-  Bgp_netsim.Runner.scenario ->
-  trials:int ->
-  Bgp_netsim.Runner.result list * string list
-(** {!traced_results}, then {!Bgp_netsim.Runner.finalize_traced}: every
-    trial's trace file is finalized and its attribution sidecar written
-    next to it, so the directory can be merged in O(trials)
-    ([analyze --merge]) or watched live ([bgpsim serve]) immediately.
-    Returns the results and the sidecar paths written. *)
+    structurally identical results.  Built on {!prefetch}: a one-spec
+    prefetch, then a wait for the cache entry.  The wait starts over
+    (and claims the key afresh) when the entry disappears, because a
+    failed claim was dropped or {!clear_cache} ran. *)
 
 val prefetch : ?jobs:int -> (Bgp_netsim.Runner.scenario * int) list -> unit
 (** [prefetch specs] fills the cache for every uncached

@@ -2,11 +2,13 @@ module A = Attribution
 
 type straggler = { seed : int; dest : int; tail : float; parts : A.components }
 
-(* The straggler board keeps the K best samples under the reference sort
-   order (tail desc, then seed, then dest — the same tie-break
-   {!Attribution.merge} uses), maintained as a sorted list.  K is small
-   (default 64), so ordered insertion beats a heap on simplicity and is
+(* The straggler board keeps the [max_stragglers] best samples under the
+   reference sort order (tail desc, then seed, then dest — the same
+   tie-break {!Attribution.merge} uses), maintained as a sorted list.  The
+   board is small, so ordered insertion beats a heap on simplicity and is
    deterministic by construction. *)
+let max_stragglers = 64
+
 let straggler_compare a b =
   match Float.compare b.tail a.tail with
   | 0 -> ( match Int.compare a.seed b.seed with 0 -> Int.compare a.dest b.dest | c -> c)
@@ -15,7 +17,6 @@ let straggler_compare a b =
 let straggler_before a b = straggler_compare a b < 0
 
 type t = {
-  worst_capacity : int;
   mutable n_trials : int;
   mutable from_sidecars : int;
   mutable reparsed : int;
@@ -33,10 +34,8 @@ type t = {
   mutable first_err : string option;
 }
 
-let create ?(worst_capacity = 64) () =
-  if worst_capacity < 1 then invalid_arg "Attr_merge.create: worst_capacity must be >= 1";
+let create () =
   {
-    worst_capacity;
     n_trials = 0;
     from_sidecars = 0;
     reparsed = 0;
@@ -60,12 +59,12 @@ let insert_straggler t s =
     | x :: _ as l when straggler_before s x -> s :: l
     | x :: rest -> x :: insert rest
   in
-  if t.worst_len < t.worst_capacity then begin
+  if t.worst_len < max_stragglers then begin
     t.worst <- insert t.worst;
     t.worst_len <- t.worst_len + 1
   end
   else if straggler_before s (List.nth t.worst (t.worst_len - 1)) then
-    t.worst <- List.filteri (fun i _ -> i < t.worst_capacity) (insert t.worst)
+    t.worst <- List.filteri (fun i _ -> i < max_stragglers) (insert t.worst)
 
 let add_sidecar ?(reparsed = false) t (sc : A.sidecar) =
   t.n_trials <- t.n_trials + 1;

@@ -18,9 +18,9 @@
 
 type t
 
-val create : ?worst_capacity:int -> unit -> t
-(** An empty accumulator.  [worst_capacity] (default 64) bounds the
-    straggler board — the K slowest [(trial, dest)] samples kept. *)
+val create : unit -> t
+(** An empty accumulator.  Its straggler board keeps the 64 slowest
+    [(trial, dest)] samples. *)
 
 val add_sidecar : ?reparsed:bool -> t -> Attribution.sidecar -> unit
 (** Fold one trial in.  Order matters only for float-addition order; the
@@ -62,7 +62,7 @@ type report = {
   r_fail : int;
   r_violations : (string * int) list;
       (** chaos invariant-battery tally, sorted by name *)
-  r_stragglers : straggler list;  (** slowest first, at most K *)
+  r_stragglers : straggler list;  (** slowest first, at most 64 *)
 }
 
 val report : t -> report

@@ -187,7 +187,7 @@ val pp_per_dest : ?top:int -> Format.formatter -> t -> unit
     per destination, with every float printed exactly (["%.17g"]) so a
     merge over sidecars is bit-equal to a merge over re-analyzed traces.
     Every traced run persists one next to its finalized trace
-    ({!Runner.finalize_traced}, {!Bgp_experiments.Sweep.traced_archived},
+    ({!Runner.finalize_traced}, so every [bgpsim --trace-file] run, and
     [bgpsim chaos --sidecar-dir]), which is what makes
     [bgpsim analyze --merge] O(trials) instead of O(events) and lets
     [bgpsim serve] watch a campaign without touching raw traces. *)

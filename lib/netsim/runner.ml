@@ -24,7 +24,6 @@ type scenario = {
   net : Network.config;
   failure : failure_spec;
   seed : int;
-  sim_time_cap : float;
   validate : bool;
   warmup : warmup_mode;
   policies : bool;
@@ -36,7 +35,7 @@ type scenario = {
 }
 
 let scenario ?(net = Network.config_default Bgp_proto.Config.default)
-    ?(failure = No_failure) ?(seed = 1) ?(sim_time_cap = 36000.0) ?(validate = false)
+    ?(failure = No_failure) ?(seed = 1) ?(validate = false)
     ?(warmup = Simulated) ?(policies = false) ?faults ?sharding ?churn
     ?(churn_window = 0.5) ?dest_sample topo =
   {
@@ -44,7 +43,6 @@ let scenario ?(net = Network.config_default Bgp_proto.Config.default)
     net;
     failure;
     seed;
-    sim_time_cap;
     validate;
     warmup;
     policies;
@@ -54,6 +52,10 @@ let scenario ?(net = Network.config_default Bgp_proto.Config.default)
     churn_window;
     dest_sample;
   }
+
+(* Simulated seconds each phase may run: a safety net; a run that hits it
+   is flagged unconverged. *)
+let phase_cap = 36000.0
 
 type result = {
   converged : bool;
@@ -182,7 +184,7 @@ let run_gen ?inspect s =
             Some (probe_hook t)
           | Some _ | None -> None
         in
-        Network.run ?at_barrier net ~cap:s.sim_time_cap
+        Network.run ?at_barrier net ~cap:phase_cap
       | Analytic ->
         if s.policies then invalid_arg "Runner.run: analytic warm-up is policy-free only";
         Warmup.install net);
@@ -255,7 +257,7 @@ let run_gen ?inspect s =
             churn_hook ~now))
   in
   Profile.within Converge (fun () ->
-      Network.run ?at_barrier net ~cap:(t_fail +. s.sim_time_cap));
+      Network.run ?at_barrier net ~cap:(t_fail +. phase_cap));
   Profile.within Finalize @@ fun () ->
   (* End-of-run hook: the chaos harness reads per-router queue/RIB state
      here, before the network goes out of scope.  Pure reads only. *)

@@ -26,8 +26,6 @@ type scenario = {
   net : Network.config;
   failure : failure_spec;
   seed : int;
-  sim_time_cap : float;
-      (** safety net per phase; a run that hits it is flagged unconverged *)
   validate : bool;  (** run {!Validate.check_exn} after each phase *)
   warmup : warmup_mode;
   policies : bool;
@@ -65,7 +63,6 @@ val scenario :
   ?net:Network.config ->
   ?failure:failure_spec ->
   ?seed:int ->
-  ?sim_time_cap:float ->
   ?validate:bool ->
   ?warmup:warmup_mode ->
   ?policies:bool ->
@@ -77,7 +74,7 @@ val scenario :
   topo_spec ->
   scenario
 (** Defaults: paper BGP config ({!Bgp_proto.Config.default}), no failure,
-    seed 1, cap 36000 s, validation off, simulated warm-up, no policies,
+    seed 1, validation off, simulated warm-up, no policies,
     no fault schedule, one shard, no churn
     (churn window 0.5 s), no destination subsampling. *)
 
@@ -122,7 +119,9 @@ type result = {
 
 val run : scenario -> result
 (** A pure function of the scenario: same scenario, same result, on any
-    number of domains. *)
+    number of domains.  Warm-up and re-convergence each run for at most
+    36000 simulated seconds; a run that hits that cap is flagged
+    unconverged. *)
 
 val run_with : inspect:(Network.t -> unit) -> scenario -> result
 (** {!run}, plus an end-of-run hook called on the live network after the

@@ -19,7 +19,7 @@ module Trace = Bgp_netsim.Trace
 module Attribution = Bgp_netsim.Attribution
 module Attr_merge = Bgp_netsim.Attr_merge
 module Delay_hist = Bgp_netsim.Delay_hist
-module Sweep = Bgp_experiments.Sweep
+module Pool = Bgp_engine.Pool
 module Config = Bgp_proto.Config
 module Path = Bgp_proto.Path
 module Degree_dist = Bgp_topology.Degree_dist
@@ -60,11 +60,10 @@ let contains haystack needle =
 let campaign =
   lazy
     (let dir = fresh_dir () in
-     let _results, sidecars =
-       Sweep.traced_archived ~spill_base:(Filename.concat dir "t.jsonl") scenario
-         ~trials:20
-     in
-     (dir, sidecars))
+     let spill_base = Filename.concat dir "t.jsonl" in
+     let pairs = Runner.traced ~spill_base scenario ~trials:20 in
+     let results = Pool.map (fun (s, _) -> Runner.run s) pairs in
+     (dir, Runner.finalize_traced pairs results))
 
 (* The reference answer: re-parse every finalized trace, re-run the
    attribution, Attribution.merge — the path analyze --merge used before

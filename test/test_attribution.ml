@@ -352,7 +352,6 @@ let check_flamegraph_totals () =
 (* Merge over finalized per-trial trace files equals merging the in-memory
    attributions, and a jobs=4 traced sweep is bit-identical to jobs=1. *)
 let check_merge_and_jobs () =
-  let module Sweep = Bgp_experiments.Sweep in
   let dir = Filename.temp_file "bgpsim_merge" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
@@ -369,7 +368,9 @@ let check_merge_and_jobs () =
       let sweep jobs sub =
         Sys.mkdir (Filename.concat dir sub) 0o755;
         let base = Filename.concat (Filename.concat dir sub) "trace.jsonl" in
-        Sweep.traced_results ~jobs ~spill_base:base flat_scenario ~trials
+        let pairs = Runner.traced ~spill_base:base flat_scenario ~trials in
+        let results = Bgp_engine.Pool.map ~jobs (fun (s, _) -> Runner.run s) pairs in
+        List.combine results (List.map snd pairs)
       in
       let seq = sweep 1 "seq" and par = sweep 4 "par" in
       let trials_of runs =

@@ -533,12 +533,7 @@ let test_pool_domain_stats () =
   checkb "per-domain entries present" true (batch <> []);
   checki "all jobs accounted for" 5
     (List.fold_left (fun acc (d : Pool.domain_stat) -> acc + d.Pool.jobs) 0 batch);
-  List.iter
-    (fun (d : Pool.domain_stat) ->
-      checkb "busy nonnegative" true (d.Pool.busy >= 0.0);
-      checkb "wait nonnegative" true (d.Pool.wait >= 0.0))
-    batch;
-  (* Sequential path records the caller as domain 0. *)
+  (* At ~jobs:1 the single worker is the caller, domain 0. *)
   let _ = Pool.map ~jobs:1 (fun x -> x + 1) [ 1; 2; 3 ] in
   match Pool.last_batch () with
   | [ d ] ->
@@ -549,19 +544,20 @@ let test_pool_domain_stats () =
 (* Under an armed profile every worker records one pool_job per job and
    one pool_wait per take from the deque, the final empty take included;
    a job's own spans nest in its pool_job.  [figures --prof] reports
-   these rows. *)
-let test_pool_profile_spans () =
+   these rows, and their shape does not depend on the job count. *)
+let test_pool_profile_spans ~jobs () =
   Profile.start ();
   let _ =
-    Pool.map ~jobs:2
+    Pool.map ~jobs
       (fun x -> Profile.within Profile.Warmup (fun () -> x * x))
       [ 1; 2; 3; 4; 5; 6 ]
   in
   let r = stop_exn () in
-  let all = all_rows r in
+  (* One worker is the caller itself, so every row is on its domain. *)
+  let all = if jobs = 1 then caller_spans r else all_rows r in
   checki "one warmup per job" 6 (count Profile.Warmup all);
   checki "one pool_job per job" 6 (count Profile.Pool_job all);
-  checki "one pool_wait per take, two workers' empty takes included" 8
+  checki "one pool_wait per take, each worker's empty take included" (6 + jobs)
     (count Profile.Pool_wait all);
   List.iter
     (fun (d : Profile.domain_report) ->
@@ -628,6 +624,8 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "per-domain stats" `Quick test_pool_domain_stats;
-          Alcotest.test_case "profile spans" `Quick test_pool_profile_spans;
+          Alcotest.test_case "profile spans" `Quick (test_pool_profile_spans ~jobs:2);
+          Alcotest.test_case "profile spans at one job" `Quick
+            (test_pool_profile_spans ~jobs:1);
         ] );
     ]

@@ -64,9 +64,8 @@ battery() {
     --json analyze.json > analyze.txt
   run "$bgpsim" analyze --nodes 24 --failure 0.1 --mrai 1.25 --seed 3 --capacity 500 \
     --spill analyze_spill.jsonl --json analyze_spilled.json > analyze_spilled.txt
-  # --quiet: the full listing ends with the pool's per-domain wall times.
   run "$bgpsim" --nodes 24 --failure 0.1 --mrai 1.25 --seed 1 --trials 4 --jobs 2 \
-    --trace-file campaign/t.jsonl --quiet > campaign.txt
+    --trace-file campaign/t.jsonl > campaign.txt
   run "$bgpsim" analyze --merge campaign --json merge.json > merge.txt
   run "$bgpsim" chaos --nodes 24 --failure 0.15 --mrai 1.25 --seed 1 --trials 50 \
     --jobs 2 --out chaos.json > chaos.txt
