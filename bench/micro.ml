@@ -1,5 +1,5 @@
 (* Micro-benchmarks for the layers the benchmark suite's per-layer table
-   does not measure: AS-path interning and equality, the shard mailbox
+   does not measure: AS-path prepends and equality, the shard mailbox
    and barrier, and the partitioner.  Tight hand-timed loops, so a
    representation regression shows up as a per-op number.
 
@@ -16,11 +16,12 @@ let time f =
   f ();
   Unix.gettimeofday () -. t0
 
-(* --- Path interning ------------------------------------------------------ *)
+(* --- AS paths -------------------------------------------------------------- *)
 
-(* Realistic mix: most cons hits re-intern an already-seen suffix (the
-   steady-state of a converged network re-exploring paths). *)
-let bench_path_intern ~iters () =
+(* One prepend onto one of 64 short stems: a single node allocation that
+   shares the stem's spine (paths are plain values; nothing is looked
+   up). *)
+let bench_path_cons ~iters () =
   let tbl = Path.create_table () in
   let rng = Rng.create 42 in
   let stems =
@@ -132,7 +133,7 @@ let () =
   let scale n = if quick then n / 10 else n in
   let benches =
     [
-      bench_path_intern ~iters:(scale 2_000_000);
+      bench_path_cons ~iters:(scale 2_000_000);
       bench_path_equal ~iters:(scale 5_000_000);
       bench_shard_mailbox ~iters:(scale 200_000);
       bench_shard_barrier ~iters:(scale 100_000);

@@ -17,10 +17,14 @@ type offer = {
   paths : Path.table;
   own_as : as_id;
   best : Rib.best option;
+  cached : path;  (* an earlier prepend that [Path.cons_cached] may serve *)
   mutable prepended : path;  (* [Path.absent] until an eBGP peer needs it *)
 }
 
-let offer ~paths ~own_as best = { paths; own_as; best; prepended = Path.absent }
+let offer ?(cached = Path.absent) ~paths ~own_as best =
+  { paths; own_as; best; cached; prepended = Path.absent }
+
+let prepended offer = offer.prepended
 
 let path_for ~config offer ~peer_kind ~peer_as ?peer_rel () =
   match offer.best with
@@ -34,15 +38,11 @@ let path_for ~config offer ~peer_kind ~peer_as ?peer_rel () =
         | Ibgp -> base_path best
         | Ebgp ->
           if offer.prepended == Path.absent then
-            offer.prepended <- Path.cons offer.paths offer.own_as (base_path best);
+            offer.prepended <-
+              Path.cons_cached offer.paths ~last:offer.cached offer.own_as
+                (base_path best);
           offer.prepended
       in
       if config.Config.sender_side_loop_check && path_contains path peer_as then
         Path.absent
       else path
-
-let target ~paths ~config ~own_as ~peer_kind ~peer_as ?peer_rel ~best () =
-  let path =
-    path_for ~config (offer ~paths ~own_as best) ~peer_kind ~peer_as ?peer_rel ()
-  in
-  if path == Path.absent then None else Some path

@@ -13,9 +13,16 @@ type offer
     route and reused for every later peer, so a route change pays for at
     most one prepend however many peers it is exported to. *)
 
-val offer : paths:Path.table -> own_as:as_id -> Rib.best option -> offer
-(** [paths] is the run's interning table (the prepended hop is interned
-    there); [own_as] is the exporting router's AS. *)
+val offer :
+  ?cached:path -> paths:Path.table -> own_as:as_id -> Rib.best option -> offer
+(** [paths] counts the prepend ({!Path}); [own_as] is the exporting
+    router's AS.  [cached] (default [Path.absent]) is a prepend an earlier
+    offer made: it is served instead of a new one while it still extends
+    the selection's path ({!Path.cons_cached}). *)
+
+val prepended : offer -> path
+(** The eBGP path this offer has made or served so far, or [Path.absent]
+    if no eBGP peer has been offered the route yet. *)
 
 val path_for :
   config:Config.t ->
@@ -25,23 +32,10 @@ val path_for :
   ?peer_rel:relationship ->
   unit ->
   path
-(** What the peer should currently hold, or [Path.absent] for nothing —
-    the allocation-free form of {!target}, with the same rules. *)
-
-val target :
-  paths:Path.table ->
-  config:Config.t ->
-  own_as:as_id ->
-  peer_kind:session_kind ->
-  peer_as:as_id ->
-  ?peer_rel:relationship ->
-  best:Rib.best option ->
-  unit ->
-  path option
-(** [paths] is the run's interning table (any prepended hop is interned
-    there).  [None] means "advertise nothing" (i.e. withdraw if something was
-    advertised before): no selection, an iBGP-learned selection facing an
-    iBGP peer, a sender-side loop-check hit, or — when relationships are
-    configured — a valley-free (Gao-Rexford) export restriction: routes
-    learned from peers or providers are only exported to customers.
-    [peer_rel] is our relationship to the peer being exported to. *)
+(** What the peer should currently hold, or [Path.absent] for nothing:
+    no selection, an iBGP-learned selection facing an iBGP peer, a
+    sender-side loop-check hit, or — when relationships are configured —
+    a valley-free (Gao-Rexford) export restriction: routes learned from
+    peers or providers are only exported to customers.  [peer_rel] is
+    our relationship to the peer being exported to.  A peer that held
+    something before is then sent a withdrawal. *)

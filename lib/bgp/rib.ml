@@ -274,9 +274,9 @@ let in_entries t = t.in_count
                     with the Adj-RIB-In
      dest slot      adj and loc array slots (2) + local byte (1/8)
      fixed          record (7) + three array headers (3)
-   Unused vector capacity is not counted.  AS-path storage is shared
-   through the hashcons table and accounted there ([Path.table_stats]),
-   not per RIB. *)
+   Unused vector capacity is not counted.  AS paths are shared between
+   RIBs and accounted once, from the run's path counters
+   ([Path.table_stats]), not per RIB. *)
 let approx_bytes t =
   let word = Sys.word_size / 8 in
   let slots = Array.length t.adj in

@@ -88,8 +88,8 @@ val approx_bytes : t -> int
 (** Estimated resident size of this RIB in bytes, from a fixed
     words-per-entry model over the entry counts and the number of
     destination slots (deterministic: no heap walk, no dependence on GC
-    state).  Shared AS-path storage is excluded — it is accounted once,
-    at the hashcons table ([Path.table_stats]). *)
+    state).  AS paths, which RIBs share, are excluded — they are
+    accounted once, from the run's path counters ([Path.table_stats]). *)
 
 val rank : best -> int * int * int * int
 (** Reference ranking key (preference class, path length, eBGP-over-iBGP,

@@ -60,8 +60,12 @@ type t = {
   config : Config.t;
   sched : Sched.t;
   rng : Rng.t;
-  paths : Path.table;  (* the run's shared AS-path interning table *)
+  paths : Path.table;  (* the run's path counters *)
   rib : Rib.t;
+  (* Export cache, indexed by destination: the eBGP prepend last made,
+     served again while the Loc-RIB path it extends is unchanged.
+     [Path.absent] = none yet; grown on demand. *)
+  mutable prepends : path array;
   input : work Iq.t;
   peers : peer_state Int_table.t;
   mutable peer_list : router_id list;  (* ascending, for deterministic iteration *)
@@ -113,6 +117,7 @@ let create ~sched ~rng ~paths ~config ~id ~asn ~degree ?tracer cb =
     rng;
     paths;
     rib = Rib.create ~asn;
+    prepends = [||];
     input = Iq.create config.Config.queue_discipline;
     peers = Int_table.create 16;
     peer_list = [];
@@ -262,7 +267,22 @@ let send_withdraw t peer dest =
   activity t
 
 (* What [t] currently offers its peers for [dest]. *)
-let offer t dest = Export.offer ~paths:t.paths ~own_as:t.asn (Rib.best t.rib dest)
+let offer t dest =
+  let cached = if dest < Array.length t.prepends then t.prepends.(dest) else Path.absent in
+  Export.offer ~cached ~paths:t.paths ~own_as:t.asn (Rib.best t.rib dest)
+
+(* Keep the prepend [offer] made or served for the next offer of [dest]. *)
+let remember t dest offer =
+  let p = Export.prepended offer in
+  if p != Path.absent then begin
+    let cap = Array.length t.prepends in
+    if dest >= cap then begin
+      let prepends = Array.make (max (dest + 1) (max 16 (2 * cap))) Path.absent in
+      Array.blit t.prepends 0 prepends 0 cap;
+      t.prepends <- prepends
+    end;
+    t.prepends.(dest) <- p
+  end
 
 (* What should [peer] currently be told?  [Path.absent] = nothing (so a
    withdrawal if something was advertised before). *)
@@ -293,7 +313,10 @@ let flush_target t peer dest target =
 
 (* Flush one pending destination against the current Loc-RIB. *)
 let flush_dest t peer dest =
-  flush_target t peer dest (export_target t peer (offer t dest))
+  let offer = offer t dest in
+  let sent = flush_target t peer dest (export_target t peer offer) in
+  remember t dest offer;
+  sent
 
 let is_pending peer dest =
   dest >= 0 && dest < Bytes.length peer.pending && Bytes.get peer.pending dest <> '\000'
@@ -509,7 +532,8 @@ let reconsider t dest =
     | None -> ());
     activity t;
     let offer = offer t dest in
-    List.iter (fun peer -> schedule_export t peer dest offer) t.peer_states
+    List.iter (fun peer -> schedule_export t peer dest offer) t.peer_states;
+    remember t dest offer
   end
 
 (* --- Flap damping (RFC 2439) -------------------------------------------- *)

@@ -64,9 +64,11 @@ val create :
   callbacks ->
   t
 (** [degree] is the value the degree-dependent MRAI scheme keys on
-    (inter-AS degree of the router).  [paths] is the run's shared AS-path
-    interning table ({!Path}): all routers of one network must use the
-    same table so exchanged paths compare by pointer. *)
+    (inter-AS degree of the router).  [paths] counts the paths the router
+    builds ({!Path}); the routers of one shard share it.  Per destination
+    the router keeps the eBGP prepend it last made and serves it again
+    while the Loc-RIB path it extends is unchanged, so an MRAI flush of an
+    unchanged route re-sends the same value. *)
 
 val id : t -> router_id
 val asn : t -> as_id

@@ -13,18 +13,18 @@ type dest = as_id
 type path = Path.t
 (** AS path: head is the AS of the last speaker that prepended (the
     advertising neighbour for eBGP-learned routes), the origin AS is last.
-    A locally-originated route has the empty path.  Paths are hash-consed
-    per run ({!Path}), so length, equality and membership are O(1)-ish on
-    the hot path. *)
+    A locally-originated route has the empty path.  Paths are plain
+    values that cache their length and a membership bitset ({!Path}), so
+    length, equality and membership are O(1)-ish on the hot path. *)
 
 val path_length : path -> int
-(** O(1) (cached in the interned node). *)
+(** O(1) (cached in the path). *)
 
 val path_contains : path -> as_id -> bool
 (** Bitset rejection then a short scan; see {!Path.contains}. *)
 
 val path_equal : path -> path -> bool
-(** Pointer equality within a run's table; structural fallback. *)
+(** Structural; see {!Path.equal}. *)
 
 val pp_path : Format.formatter -> path -> unit
 

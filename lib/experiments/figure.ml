@@ -63,6 +63,13 @@ let pp_chart ppf t =
       t.series
   end
 
+(* RFC 4180: a field holding a comma, a quote or a line break is quoted,
+   and its quotes are doubled. *)
+let csv_field s =
+  if String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s then
+    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
+  else s
+
 let to_csv t =
   let buffer = Buffer.create 1024 in
   Buffer.add_string buffer "figure,series,x,y,sd\n";
@@ -71,7 +78,8 @@ let to_csv t =
       List.iter
         (fun p ->
           Buffer.add_string buffer
-            (Printf.sprintf "%s,%s,%g,%g,%g\n" t.id s.label p.x p.y p.sd))
+            (Printf.sprintf "%s,%s,%g,%g,%g\n" (csv_field t.id) (csv_field s.label) p.x
+               p.y p.sd))
         s.points)
     t.series;
   Buffer.contents buffer

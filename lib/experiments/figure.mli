@@ -22,7 +22,9 @@ val pp_chart : Format.formatter -> t -> unit
     figure-wide maximum (quick visual check of who wins where). *)
 
 val to_csv : t -> string
-(** Long format: [figure,series,x,y,sd]. *)
+(** Long format: [figure,series,x,y,sd].  A figure id or series label
+    holding a comma, a quote or a line break is quoted as RFC 4180
+    says, with its quotes doubled. *)
 
 val series_points : t -> string -> (float * float) list
 (** [(x, y)] pairs of the named series. @raise Not_found. *)

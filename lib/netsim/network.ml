@@ -53,7 +53,7 @@ let msg_compare a b =
     if c <> 0 then c else Int.compare a.m_seq b.m_seq
 
 (* Everything one shard's domain owns: its scheduler (inside the
-   executor), its path-interning table, the trace events it recorded since
+   executor), its path counters, the trace events it recorded since
    the last flush, its counters, and its replica of the fault tables.
    Fault events are replicated into every shard's scheduler, so each
    replica of the severed/factor/loss/skew tables evolves identically — a
@@ -168,7 +168,6 @@ let start_all t = Array.iter Router.start t.routers
 let shard_count t = Array.length t.ctxs
 let owner_of t r = t.owner.(r)
 let shard_sched t s = t.ctxs.(s).ssched
-let paths_for t r = t.ctxs.(t.owner.(r)).spaths
 
 let sum_ctxs t f = Array.fold_left (fun acc c -> acc + f c) 0 t.ctxs
 let adverts_sent t = sum_ctxs t (fun c -> c.s_adverts)
@@ -432,22 +431,10 @@ let build ?(shards = 1) ?owner ?lookahead ~rng ~config ?telemetry topo =
   let deliver d m =
     let t = !net in
     let ctx = ctxs.(d) in
-    (* Cross-shard advertisements are re-interned into the receiving
-       shard's table; path identity never reaches route selection (RIB
-       ranking is structural), so rehoming is invisible. *)
-    let update =
-      if owner.(m.m_src) = d then m.m_update
-      else
-        match m.m_update with
-        | Types.Withdraw _ as u -> u
-        | Types.Advertise { dest; path } ->
-          Types.Advertise
-            { dest; path = Bgp_proto.Path.of_list ctx.spaths (Bgp_proto.Path.hops path) }
-    in
     ignore
       (Sched.schedule_at ctx.ssched ~time:m.m_arrival (fun () ->
            if deliverable t ctx ~src:m.m_src ~dst:m.m_dst ~seq:m.m_seq then
-             if not traced then Router.receive t.routers.(m.m_dst) ~src:m.m_src update
+             if not traced then Router.receive t.routers.(m.m_dst) ~src:m.m_src m.m_update
              else begin
                let id = fresh_sid t m.m_dst in
                record_on ctx
@@ -457,10 +444,10 @@ let build ?(shards = 1) ?owner ?lookahead ~rng ~config ?telemetry topo =
                       time = Sched.now ctx.ssched;
                       src = m.m_src;
                       dst = m.m_dst;
-                      update;
+                      update = m.m_update;
                       cause = m.m_sent_id;
                     });
-               Router.receive t.routers.(m.m_dst) ~cause:id ~src:m.m_src update
+               Router.receive t.routers.(m.m_dst) ~cause:id ~src:m.m_src m.m_update
              end))
   in
   let tracers = Array.map (fun ctx -> if traced then Some (tracer ctx) else None) ctxs in
@@ -520,6 +507,8 @@ let build ?(shards = 1) ?owner ?lookahead ~rng ~config ?telemetry topo =
         m.Router.damping_suppressions);
     reg "sched.events" Telemetry.Gauge (fun () -> float_of_int (events t));
     reg "sched.time" Telemetry.Gauge (fun () -> now t);
+    (* The path names predate the export cache: nodes built, and
+       prepends served from a router's cache ({!Bgp_proto.Path}). *)
     reg "path.interned" Telemetry.Gauge (fun () ->
         float_of_int (sum_ctxs t (fun c -> Bgp_proto.Path.unique_count c.spaths)));
     counter "path.intern_hits" (fun () ->

@@ -74,8 +74,9 @@ val topology : t -> Bgp_topology.Topology.t
 val bgp_config : t -> Bgp_proto.Config.t
 
 val paths : t -> Bgp_proto.Path.table
-(** Shard 0's AS-path interning table — at one shard, the table every
-    router (and the analytic warm-up) interns into. *)
+(** Shard 0's path counters ({!Bgp_proto.Path.table}) — at one shard,
+    the ones every router counts into.  The analytic warm-up counts into
+    them at every shard count. *)
 
 val relationships : t -> Relationships.t option
 val router : t -> int -> Bgp_proto.Router.t
@@ -115,9 +116,6 @@ val events : t -> int
 val shard_count : t -> int
 val owner_of : t -> int -> int
 val shard_sched : t -> int -> Bgp_engine.Scheduler.t
-
-val paths_for : t -> int -> Bgp_proto.Path.table
-(** Router [r]'s interning table: its shard's. *)
 
 (** {2 Failures}
 
@@ -240,7 +238,7 @@ val overloaded_routers : t -> threshold:float -> int list
 
 val memory_snapshot : t -> Telemetry.memory
 (** Estimated memory footprint, rolled up per shard: RIB bytes and entry
-    counts per owner shard, per-table hashcons stats, scheduler-slab
+    counts per owner shard, per-shard path counters, scheduler-slab
     high-water/capacity, and the run trace's occupancy.  Fixed word
     models over entry counts only — deterministic for a given run,
     identical across [--jobs].  The runner attaches it via

@@ -19,7 +19,7 @@ val relation :
     same-AS/iBGP pairs). *)
 
 val valley_free : t -> self:int -> int list -> bool
-(** Is the AS hop list (as selected by router [self]; obtain it from an
-    interned path with {!Bgp_proto.Path.hops}) valley-free: zero or more
+(** Is the AS hop list (as selected by router [self]; obtain it from a
+    path with {!Bgp_proto.Path.hops}) valley-free: zero or more
     provider hops up, at most one peer hop, then only customer hops
     down? *)

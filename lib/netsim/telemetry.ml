@@ -49,7 +49,7 @@ type shard_memory = {
   routers : int;
   rib_entries : int;  (** Adj-RIB-In entries across the shard's routers *)
   rib_bytes : int;
-  path_nodes : int;  (** interned path nodes in the shard's table *)
+  path_nodes : int;  (** path nodes the shard's routers built *)
   path_bytes : int;
   sched_max_live : int;  (** slab occupancy high-water *)
   sched_slab_cap : int;

@@ -74,8 +74,10 @@ type shard_memory = {
       (** estimated from [Rib.approx_bytes]'s word model: Adj-RIB-In
           entries and per-destination vectors, Loc-RIB selections and
           destination slots (the routers' Adj-RIB-Out is not counted) *)
-  path_nodes : int;  (** interned path nodes in the shard's hashcons table *)
-  path_bytes : int;
+  path_nodes : int;
+      (** path nodes the shard's routers built ([Path.table_stats]), live
+          or not: an upper bound on their live memory *)
+  path_bytes : int;  (** [path_nodes] at 7 words per node *)
   sched_max_live : int;  (** event-slab occupancy high-water *)
   sched_slab_cap : int;  (** event-slab capacity *)
 }
@@ -86,7 +88,8 @@ type memory = {
   rib_bytes_total : int;
   path_bytes_total : int;
   path_sharing : float;
-      (** naive per-path hop storage over actual shared-spine storage *)
+      (** naive per-path hop storage over shared-spine storage: the mean
+          length of the paths built *)
   trace_len : int;  (** events held in the run trace's ring *)
   trace_cap : int;
   trace_dropped : int;

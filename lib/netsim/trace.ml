@@ -208,8 +208,8 @@ let event_json event =
 let event_to_json event = J.to_string (event_json event)
 
 (* Numbers keep their literal in {!Json_lite}, so ints and exact floats
-   both survive the round trip. *)
-let event_of_json ~paths line =
+   both survive the round trip.  [path] builds an AS path from its hops. *)
+let parse_event ~path line =
   J.try_result @@ fun () ->
     let obj = J.obj (J.parse line) in
     let field = J.field obj in
@@ -223,7 +223,9 @@ let event_of_json ~paths line =
       | "withdraw" -> Types.Withdraw (uint "dest")
       | "advertise" ->
         let hops = List.map J.int (J.arr (J.field u "path")) in
-        Types.Advertise { dest = uint "dest"; path = Path.of_list paths hops }
+        (* A hop outside the AS id range is bad input, not a caller's bug. *)
+        let path = try path hops with Invalid_argument msg -> raise (J.Bad msg) in
+        Types.Advertise { dest = uint "dest"; path }
       | _ -> raise (J.Bad "update: unknown kind")
     in
     let id = int "id" and time = fl "time" in
@@ -280,6 +282,8 @@ let event_of_json ~paths line =
       Fault { id; time; label = str "label"; router = int "router"; cause = int "cause" }
     | kind -> raise (J.Bad (Printf.sprintf "unknown event type %S" kind))
 
+let event_of_json ~paths line = parse_event ~path:(Path.of_list paths) line
+
 (* --- Run-meta line --------------------------------------------------------- *)
 
 (* One JSONL line carrying what a trace file cannot reconstruct from its
@@ -312,12 +316,26 @@ let meta_of_json line =
 
 (* The one reader of trace JSONL: [f] sees every event of [path] in order;
    returns the last meta line and the line count.  Errors are values that
-   name the file and, for a line that does not parse, its number. *)
+   name the file and, for a line that does not parse, its number.  The
+   file's paths are built tail-first through one table keyed on the hop
+   suffix, so events that carry the same hops, or share a suffix, share
+   one spine. *)
 let read_lines ~paths path f =
   match open_in path with
   | exception Sys_error msg -> Error msg
   | ic ->
     Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+    let suffixes = Hashtbl.create 1024 in
+    let rec build = function
+      | [] -> Path.empty
+      | asn :: tail as hops -> (
+        match Hashtbl.find_opt suffixes hops with
+        | Some p -> p
+        | None ->
+          let p = Path.cons paths asn (build tail) in
+          Hashtbl.add suffixes (Path.hops p) p;
+          p)
+    in
     let rec go lineno meta =
       match In_channel.input_line ic with
       | None -> Ok (meta, lineno - 1)
@@ -326,7 +344,7 @@ let read_lines ~paths path f =
         | Ok m -> go (lineno + 1) (Some m)
         | Error msg -> Error (Printf.sprintf "%s:%d: bad meta line (%s)" path lineno msg))
       | Some line -> (
-        match event_of_json ~paths line with
+        match parse_event ~path:build line with
         | Ok event ->
           f event;
           go (lineno + 1) meta

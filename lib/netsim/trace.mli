@@ -221,7 +221,10 @@ val read_file :
 (** Read a trace file back: events in file order plus the meta line if
     present ([None] for a bare spill file that was never finalized).
     [Error] — never an exception — for an unreadable, empty, truncated
-    or otherwise malformed file; the message names the file and line. *)
+    or otherwise malformed file; the message names the file and line.
+    Paths are built once per distinct hop suffix of the file, so events
+    that carry the same hops return one shared path, and a path and its
+    suffixes share one spine; [paths] counts the nodes built. *)
 
 (** {2 JSONL serialization} *)
 
@@ -233,5 +236,6 @@ val event_to_json : event -> string
 
 val event_of_json :
   paths:Bgp_proto.Path.table -> string -> (event, string) result
-(** Parse a line emitted by {!event_to_json}; AS paths are re-interned
-    into [paths]. *)
+(** Parse one line emitted by {!event_to_json}.  Its AS path is built
+    afresh ({!Bgp_proto.Path.of_list}, counted in [paths]): it shares
+    nothing with other lines' paths. *)

@@ -4,6 +4,7 @@ module Types = Bgp_proto.Types
 module Rib = Bgp_proto.Rib
 module Export = Bgp_proto.Export
 module Router = Bgp_proto.Router
+module Path = Bgp_proto.Path
 
 (* Session adjacency: for each router, its session peers with kinds. *)
 let session_adjacency net =
@@ -28,13 +29,17 @@ let rank_of label = Rib.packed_rank (best_of label)
 (* Dijkstra-style settling for one destination: ranks (path length, then
    eBGP-over-iBGP, then peer id) are strictly monotone along session
    edges, so settling in rank order computes the unique fixpoint of
-   best(v) = min over peers p of import(export(best(p))). *)
+   best(v) = min over peers p of import(export(best(p))).  A router
+   settles once, on its final selection, and its peers read their paths
+   from the one offer of it; the result is every router's offer (of no
+   selection where the destination does not reach). *)
 let settle net adj ~config ~paths ~dest =
   let topo = Network.topology net in
   let n = Network.num_routers net in
   let origin = Bgp_proto.Config.origin_as config ~dest in
   let best : label option array = Array.make n None in
   let settled = Array.make n false in
+  let offers = Array.make n (Export.offer ~paths ~own_as:origin None) in
   let heap =
     Heap.create ~cmp:(fun ((ra : int), _, _) ((rb : int), _, _) -> Int.compare ra rb)
   in
@@ -45,28 +50,26 @@ let settle net adj ~config ~paths ~dest =
     end
   done;
   let relax v label =
-    let own_as = topo.Topology.as_of_router.(v) in
+    let offer =
+      Export.offer ~paths ~own_as:topo.Topology.as_of_router.(v) (Some (best_of label))
+    in
+    offers.(v) <- offer;
     List.iter
       (fun (u, kind) ->
         let peer_as = topo.Topology.as_of_router.(u) in
-        match
-          Export.target ~paths ~config ~own_as ~peer_kind:kind ~peer_as
-            ~best:(Some (best_of label)) ()
-        with
-        | None -> ()
-        | Some path ->
-          if not (Types.path_contains path peer_as) then begin
-            let candidate = Learned { Rib.peer = v; kind; path; rel = None } in
-            let better =
-              match best.(u) with
-              | None -> true
-              | Some current -> rank_of candidate < rank_of current
-            in
-            if better && not settled.(u) then begin
-              best.(u) <- Some candidate;
-              Heap.push heap (rank_of candidate, u, candidate)
-            end
-          end)
+        let path = Export.path_for ~config offer ~peer_kind:kind ~peer_as () in
+        if path != Path.absent && not (Types.path_contains path peer_as) then begin
+          let candidate = Learned { Rib.peer = v; kind; path; rel = None } in
+          let better =
+            match best.(u) with
+            | None -> true
+            | Some current -> rank_of candidate < rank_of current
+          in
+          if better && not settled.(u) then begin
+            best.(u) <- Some candidate;
+            Heap.push heap (rank_of candidate, u, candidate)
+          end
+        end)
       adj.(v)
   in
   let rec drain () =
@@ -85,14 +88,7 @@ let settle net adj ~config ~paths ~dest =
       else drain ()
   in
   drain ();
-  best
-
-(* At one shard, settle straight into the routers' own table.  With more
-   shards the settling pass is orchestrator-side and must not touch any
-   shard's table: it interns into a scratch table and [install] rehomes
-   each kept path into its owner's. *)
-let settle_table net =
-  if Network.shard_count net = 1 then Network.paths net else Bgp_proto.Path.create_table ()
+  offers
 
 let install net =
   if Network.relationships net <> None then
@@ -103,19 +99,14 @@ let install net =
   let n = Network.num_routers net in
   let adj = session_adjacency net in
   let config = Network.bgp_config net in
-  let paths = settle_table net in
-  (* Every path a router keeps must live in its own shard's interning
-     table (rank keys are structural, so rehoming changes no decision). *)
-  let rehome =
-    if Network.shard_count net = 1 then fun _ p -> p
-    else fun u p -> Bgp_proto.Path.of_list (Network.paths_for net u) (Bgp_proto.Path.hops p)
-  in
+  let paths = Network.paths net in
   Bgp_proto.Config.iter_active_dests config ~n_ases:topo.Topology.n_ases @@ fun dest ->
-    let best = settle net adj ~config ~paths ~dest in
+    let offers = settle net adj ~config ~paths ~dest in
     let origin = Bgp_proto.Config.origin_as config ~dest in
-    (* Adj-RIB-In of u from peer p = p's export; Adj-RIB-Out of p toward u
+    (* Adj-RIB-In of u from p = p's export; Adj-RIB-Out of p toward u
        likewise — both derive from the settled selections through the same
-       export function the live router uses. *)
+       export function the live router uses, and a router's prepend is one
+       path shared by all of its peers. *)
     for u = 0 to n - 1 do
       let own_as = topo.Topology.as_of_router.(u) in
       let entries = ref [] and advertised = ref [] in
@@ -123,20 +114,12 @@ let install net =
         (fun (p, kind) ->
           let peer_as = topo.Topology.as_of_router.(p) in
           (* What p tells u (import side). *)
-          (match
-             Export.target ~paths ~config ~own_as:peer_as ~peer_kind:kind
-               ~peer_as:own_as ~best:(Option.map best_of best.(p)) ()
-           with
-          | Some path when not (Types.path_contains path own_as) ->
-            entries := (p, kind, rehome u path) :: !entries
-          | Some _ | None -> ());
+          let path = Export.path_for ~config offers.(p) ~peer_kind:kind ~peer_as:own_as () in
+          if path != Path.absent && not (Types.path_contains path own_as) then
+            entries := (p, kind, path) :: !entries;
           (* What u told p (export side). *)
-          match
-            Export.target ~paths ~config ~own_as ~peer_kind:kind ~peer_as
-              ~best:(Option.map best_of best.(u)) ()
-          with
-          | Some path -> advertised := (p, rehome u path) :: !advertised
-          | None -> ())
+          let path = Export.path_for ~config offers.(u) ~peer_kind:kind ~peer_as () in
+          if path != Path.absent then advertised := (p, path) :: !advertised)
         adj.(u);
       Router.warm_install (Network.router net u) ~dest
         ~local:(own_as = origin) ~entries:!entries ~advertised:!advertised

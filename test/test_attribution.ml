@@ -215,7 +215,7 @@ let check_drop_counting shards =
     (get_attr "drops" r).Attribution.complete
 
 (* (3b): every traced event survives a JSONL round-trip byte-for-byte
-   (modulo path re-interning, which the serialization hides). *)
+   (paths are rebuilt on reading, which the serialization hides). *)
 let check_event_roundtrip () =
   let trace = Trace.create ~capacity:1_000_000 () in
   let scenario =

@@ -15,9 +15,9 @@ module Export = Bgp_proto.Export
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
-(* One interning table for the whole test binary: the fixtures' routers
-   and the test-constructed updates share it, exactly as all routers of
-   one simulation run share the network's table. *)
+(* One path-counter table for the whole test binary: the fixtures'
+   routers and the test-constructed updates count into it, as all
+   routers of one simulation run count into the network's. *)
 let tbl = Path.create_table ()
 let p = Path.of_list tbl
 let adv dest hops = Types.Advertise { dest; path = p hops }
@@ -36,6 +36,28 @@ let test_path_helpers () =
   checkb "withdrawal flag" true (Types.is_withdrawal (Types.Withdraw 1));
   checkb "advert flag" false
     (Types.is_withdrawal (adv 1 []))
+
+(* Paths are plain values: built by a cons chain in one table and by
+   [of_list] in another whose history differs, two paths are [Path.equal],
+   [=] and [compare]-equal exactly when their hops are. *)
+let prop_paths_are_values =
+  let hops = QCheck.Gen.(list_size (0 -- 4) (0 -- 3)) in
+  QCheck.Test.make ~name:"paths compare by their hops, across tables" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(triple (list int) (list int) (list int))
+       QCheck.Gen.(
+         pair (triple hops hops hops) bool >|= fun ((earlier, h1, h2), same) ->
+         (earlier, h1, if same then h1 else h2)))
+    (fun (earlier, h1, h2) ->
+      let t1 = Path.create_table () and t2 = Path.create_table () in
+      ignore (Path.of_list t1 earlier);
+      let a = List.fold_right (fun asn tail -> Path.cons t1 asn tail) h1 Path.empty in
+      let b = Path.of_list t2 h2 in
+      let same = h1 = h2 in
+      Path.hops a = h1
+      && Path.equal a b = same
+      && (a = b) = same
+      && (compare a b = 0) = same)
 
 (* --- Rib -------------------------------------------------------------------- *)
 
@@ -451,6 +473,41 @@ let test_router_mrai_coalesces () =
   | Types.Advertise { path; _ } :: _ when Path.hops path = [ 0; 1; 5; 9 ] -> ()
   | _ -> Alcotest.fail "final advert must carry the final path"
 
+(* The export cache: while the Loc-RIB path is unchanged, an MRAI flush
+   serves the prepend the router made before instead of building one. *)
+let test_router_flush_reuses_prepend () =
+  let fx = make_fixture ~config:no_jitter ~peers:[ (1, 1, Types.Ebgp); (2, 2, Types.Ebgp) ] () in
+  Router.start fx.router;
+  Sched.run fx.sched;
+  fx.sent := [];
+  let step u =
+    Router.receive fx.router ~src:1 u;
+    Sched.run ~until:(Sched.now fx.sched +. 1.0) fx.sched
+  in
+  (* The first advert goes out at once and starts peer 2's MRAI timer;
+     the withdrawal is not rate-limited; the same route, back again,
+     waits for the timer. *)
+  let route = adv 9 [ 1; 9 ] in
+  step route;
+  step (Types.Withdraw 9);
+  step route;
+  let hits = Path.hit_count tbl in
+  Sched.run fx.sched;
+  checkb "the flush served the cached prepend" true (Path.hit_count tbl > hits);
+  let adverts =
+    List.filter_map
+      (fun (dst, u) ->
+        match u with
+        | Types.Advertise { dest = 9; path } when dst = 2 -> Some path
+        | _ -> None)
+      (sent_in_order fx)
+  in
+  match adverts with
+  | [ first; again ] ->
+    Alcotest.check path_t "the prepended route" (p [ 0; 1; 9 ]) again;
+    checkb "re-sent the same value" true (first == again)
+  | l -> Alcotest.failf "expected two adverts to peer 2, got %d" (List.length l)
+
 let test_router_mrai_timer_spacing () =
   let fx = make_fixture ~config:no_jitter ~peers:[ (1, 1, Types.Ebgp); (2, 2, Types.Ebgp) ] () in
   Router.start fx.router;
@@ -752,8 +809,10 @@ let check_resync mode () =
       List.iter
         (fun d ->
           let expected =
-            Export.target ~paths:tbl ~config ~own_as:0 ~peer_kind:kind ~peer_as
-              ~best:(Rib.best rib d) ()
+            let offer = Export.offer ~paths:tbl ~own_as:0 (Rib.best rib d) in
+            match Export.path_for ~config offer ~peer_kind:kind ~peer_as () with
+            | path when path == Path.absent -> None
+            | path -> Some path
           in
           let ctx = Printf.sprintf "peer %d dest %d" peer d in
           Alcotest.check (Alcotest.option path_t) ctx expected
@@ -781,7 +840,11 @@ let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "bgp"
     [
-      ("types", [ Alcotest.test_case "path helpers" `Quick test_path_helpers ]);
+      ( "types",
+        [
+          Alcotest.test_case "path helpers" `Quick test_path_helpers;
+          qc ~rand:(Random.State.make [| 24 |]) prop_paths_are_values;
+        ] );
       ( "rib",
         [
           Alcotest.test_case "shortest path wins" `Quick test_rib_shortest_path_wins;
@@ -806,6 +869,8 @@ let () =
           Alcotest.test_case "withdraw propagates" `Quick test_router_withdraw_propagates;
           Alcotest.test_case "MRAI coalesces" `Quick test_router_mrai_coalesces;
           Alcotest.test_case "MRAI spacing" `Quick test_router_mrai_timer_spacing;
+          Alcotest.test_case "MRAI flush reuses the prepend" `Quick
+            test_router_flush_reuses_prepend;
           Alcotest.test_case "peer down removes routes" `Quick
             test_router_peer_down_removes_routes;
           Alcotest.test_case "stale update from dead peer" `Quick

@@ -276,6 +276,15 @@ let test_read_file_errors () =
   (match Trace.read_file ~paths garbage with
   | Error m -> checkb "error names line 2" true (contains m ":2")
   | Ok _ -> Alcotest.fail "garbage line must be Error");
+  (* an AS hop out of range: Error, not Invalid_argument *)
+  let bad_hop = Filename.concat dir "bad_hop.jsonl" in
+  write_text bad_hop
+    (first
+   ^ "\n{\"type\":\"update_sent\",\"id\":1,\"time\":1.0,\"src\":0,\"dst\":1,\
+      \"update\":{\"kind\":\"advertise\",\"dest\":9,\"path\":[-3,9]},\"cause\":-1}\n");
+  (match Trace.read_file ~paths bad_hop with
+  | Error m -> checkb "error names line 2" true (contains m ":2")
+  | Ok _ -> Alcotest.fail "an out-of-range AS hop must be Error");
   (* a bare, never-finalized spill (no meta line) still reads back *)
   let bare = Filename.concat dir "bare.jsonl" in
   let event_lines =

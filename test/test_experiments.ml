@@ -67,13 +67,52 @@ let fig =
     paper_expectation = "n/a";
   }
 
+(* The RFC 4180 fields of one CSV line. *)
+let csv_fields line =
+  let n = String.length line in
+  let buf = Buffer.create 16 and fields = ref [] in
+  let push () =
+    fields := Buffer.contents buf :: !fields;
+    Buffer.clear buf
+  in
+  let rec field i = if i < n && line.[i] = '"' then quoted (i + 1) else plain i
+  and plain i =
+    if i = n then push ()
+    else if line.[i] = ',' then (push (); field (i + 1))
+    else (Buffer.add_char buf line.[i]; plain (i + 1))
+  and quoted i =
+    if i >= n then Alcotest.failf "unterminated quote in %S" line
+    else if line.[i] <> '"' then (Buffer.add_char buf line.[i]; quoted (i + 1))
+    else if i + 1 < n && line.[i + 1] = '"' then (Buffer.add_char buf '"'; quoted (i + 2))
+    else if i + 1 = n then push ()
+    else if line.[i + 1] = ',' then (push (); field (i + 2))
+    else Alcotest.failf "text after a closing quote in %S" line
+  in
+  field 0;
+  List.rev !fields
+
 let test_figure_csv () =
+  let label = "low 0.5, high \"2.25\"" in
+  let fig =
+    {
+      fig with
+      Figure.series =
+        fig.Figure.series
+        @ [ { Figure.label; points = [ { Figure.x = 1.0; y = 4.0; sd = 0.0 } ] } ];
+    }
+  in
   let csv = Figure.to_csv fig in
-  checkb "header" true (String.length csv > 0 && String.sub csv 0 6 = "figure");
-  checkb "row for a" true
-    (List.exists (fun l -> l = "figX,a,1,2,0.1") (String.split_on_char '\n' csv));
-  checkb "row for b" true
-    (List.exists (fun l -> l = "figX,b,1,3,0") (String.split_on_char '\n' csv))
+  let lines = List.filter (( <> ) "") (String.split_on_char '\n' csv) in
+  checkb "header" true (List.hd lines = "figure,series,x,y,sd");
+  checkb "row for a" true (List.mem "figX,a,1,2,0.1" lines);
+  checkb "row for b" true (List.mem "figX,b,1,3,0" lines);
+  List.iter
+    (fun l -> checki (Printf.sprintf "five fields in %S" l) 5 (List.length (csv_fields l)))
+    lines;
+  Alcotest.(check (list string))
+    "a label with a comma and quotes round-trips"
+    [ "figX"; label; "1"; "4"; "0" ]
+    (csv_fields (List.nth lines 3))
 
 let test_figure_series_points () =
   Alcotest.check

@@ -156,8 +156,8 @@ let check_telemetry_neutral name scenario golden () =
     checkf (ctx "net.messages_sent counter")
       (float_of_int (g.messages + g.warmup_messages))
       (counter "net.messages_sent");
-    checkb (ctx "paths interned") true (counter "path.interned" > 0.0);
-    checkb (ctx "intern hits") true (counter "path.intern_hits" > 0.0)
+    checkb (ctx "paths built") true (counter "path.interned" > 0.0);
+    checkb (ctx "cached prepends served") true (counter "path.intern_hits" > 0.0)
 
 let span_count (rep : Profile.report) ~f =
   List.fold_left

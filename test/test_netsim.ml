@@ -20,8 +20,7 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let path_t = Alcotest.(option (list int))
 
-(* Paths are interned per network, so cross-network comparisons go
-   through the raw hop lists. *)
+(* Routes are compared through their raw hop lists. *)
 let best_hops router dest =
   Option.map Bgp_proto.Path.hops (Router.best_path_to router dest)
 
@@ -535,6 +534,46 @@ let test_spilled_line_located () =
     let want = path ^ ":2:" in
     checkb (Printf.sprintf "%S names %s" msg want) true (contains msg want));
   Sys.remove path
+
+(* A trace file's paths are built once per hop suffix: two events that
+   carry the same hops read back as one path, and a path's one-hop
+   suffix is the spine of its tail. *)
+let test_trace_read_shares_suffixes () =
+  let file = temp_path "bgpsim_suffixes" in
+  let sent id hops =
+    Trace.Update_sent
+      {
+        id;
+        time = float_of_int id;
+        src = 0;
+        dst = 1;
+        update =
+          Types.Advertise
+            { dest = 9; path = Bgp_proto.Path.of_list (Bgp_proto.Path.create_table ()) hops };
+        cause = Trace.no_cause;
+      }
+  in
+  Out_channel.with_open_bin file (fun oc ->
+      List.iter
+        (fun e -> output_string oc (Trace.event_to_json e ^ "\n"))
+        [ sent 1 [ 1; 2; 9 ]; sent 2 [ 2; 9 ]; sent 3 [ 1; 2; 9 ] ]);
+  let paths = Bgp_proto.Path.create_table () in
+  let path_of = function
+    | Trace.Update_sent { update = Types.Advertise { path; _ }; _ } -> path
+    | _ -> Alcotest.fail "expected an advertisement"
+  in
+  (match Trace.read_file ~paths file with
+  | Ok (None, events) -> (
+    match List.map path_of events with
+    | [ a; suffix; b ] ->
+      checkb "same hops, one path" true (a == b);
+      checkb "the one-hop suffix is the tail's spine" true
+        (List.tl (Bgp_proto.Path.hops a) == Bgp_proto.Path.hops suffix);
+      checki "one node per distinct suffix" 3 (Bgp_proto.Path.unique_count paths)
+    | l -> Alcotest.failf "expected 3 events, got %d" (List.length l))
+  | Ok (Some _, _) -> Alcotest.fail "no meta line was written"
+  | Error msg -> Alcotest.fail msg);
+  Sys.remove file
 
 (* A run closes its trace's spill file when it ends: running many traced,
    spilling trials one after another leaves no more files open than
@@ -1339,6 +1378,8 @@ let () =
           Alcotest.test_case "spill file created by first eviction" `Quick
             test_spill_file_lazy;
           Alcotest.test_case "bad spilled line located" `Quick test_spilled_line_located;
+          Alcotest.test_case "reader shares path suffixes" `Quick
+            test_trace_read_shares_suffixes;
           Alcotest.test_case "traced runs release spill files" `Quick
             test_traced_runs_release_files;
         ]

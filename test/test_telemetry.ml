@@ -139,12 +139,13 @@ let test_probes_deterministic_across_jobs () =
 
 (* --- Invariance across shard counts ---------------------------------------- *)
 
-(* Routing-relevant counters only: the scheduler and path-interning
-   counters (sched/path prefixes) legitimately differ across shard
-   counts (per-shard schedulers, per-shard hashcons tables), as does
-   the memory snapshot's per-shard breakdown. *)
+(* Routing-relevant counters only: the scheduler counters (sched
+   prefix) legitimately differ across shard counts (per-shard
+   schedulers), as does the memory snapshot's per-shard breakdown.  The
+   path counters sum over the shards, and every path is built by one
+   router, so their totals do not. *)
 let routing_counters (rep : Telemetry.report) =
-  let prefixes = [ "net."; "router."; "queue."; "mrai."; "damping."; "attr." ] in
+  let prefixes = [ "net."; "router."; "queue."; "mrai."; "damping."; "attr."; "path." ] in
   List.filter
     (fun (n, _, _) -> List.exists (fun p -> String.starts_with ~prefix:p n) prefixes)
     rep.Telemetry.counters
@@ -181,7 +182,9 @@ let test_report_invariant_across_shards () =
       (* Final RIB contents are bit-identical for every shard count, so
          the word-model totals must agree exactly. *)
       checki (Printf.sprintf "k=%d: RIB bytes invariant" k)
-        base_mem.Telemetry.rib_bytes_total mem.Telemetry.rib_bytes_total)
+        base_mem.Telemetry.rib_bytes_total mem.Telemetry.rib_bytes_total;
+      checki (Printf.sprintf "k=%d: path bytes invariant" k)
+        base_mem.Telemetry.path_bytes_total mem.Telemetry.path_bytes_total)
     [ 1; 2; 4 ]
 
 let test_memory_snapshot_sharded () =
@@ -195,14 +198,14 @@ let test_memory_snapshot_sharded () =
         (s.Telemetry.routers > 0);
       checkb (Printf.sprintf "shard %d has RIB state" s.Telemetry.shard) true
         (s.Telemetry.rib_entries > 0 && s.Telemetry.rib_bytes > 0);
-      checkb (Printf.sprintf "shard %d interned paths" s.Telemetry.shard) true
+      checkb (Printf.sprintf "shard %d built paths" s.Telemetry.shard) true
         (s.Telemetry.path_nodes > 0 && s.Telemetry.path_bytes > 0);
       checkb (Printf.sprintf "shard %d scheduler high-water sane" s.Telemetry.shard)
         true
         (s.Telemetry.sched_max_live > 0
         && s.Telemetry.sched_max_live <= s.Telemetry.sched_slab_cap))
     mem.Telemetry.per_shard;
-  checkb "hashcons sharing >= 1" true (mem.Telemetry.path_sharing >= 1.0);
+  checkb "path sharing >= 1" true (mem.Telemetry.path_sharing >= 1.0);
   (* The memory snapshot rides in report_json (additively; the schema is
      unchanged). *)
   let json = J.parse (Telemetry.report_json rep) in
